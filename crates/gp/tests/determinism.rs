@@ -1,24 +1,27 @@
-//! Regression test: parallel fitness scoring is **bit-identical** to
-//! sequential scoring — and so are population-wide dedup and batched
-//! dispatch, the two scoring-path optimizations layered on top. All
-//! randomness lives in the sequential breeding phase and evaluation is a
-//! pure, index-order-preserving map, so the same seed must yield the
-//! same model and the same per-generation error trajectory at any
-//! `DPR_THREADS` setting, with `DPR_GP_DEDUP` on or off, and for any
-//! `DPR_GP_BATCH` policy (adaptive, always-pool, or a fixed threshold).
+//! Golden pin: a seeded GP fit reproduces, bit for bit, the values
+//! checked in at `tests/golden/fits.txt` — the fitted formula, the
+//! per-generation best-error trajectory (as `f64::to_bits`), the logical
+//! `evaluations` count and the stopping reason. All randomness lives in
+//! breeding, and scoring is a pure function of each program, so any
+//! change to how a population is scored (dispatch, dedup, scratch reuse)
+//! must leave every pinned value untouched.
 //!
-//! Everything runs inside ONE `#[test]` function: the test mutates the
-//! `DPR_THREADS` / `DPR_GP_DEDUP` / `DPR_GP_BATCH` process environment,
-//! and sibling tests in this binary would otherwise race on it.
+//! A mismatch means the search itself changed. If that is intentional,
+//! regenerate with:
+//!
+//! ```text
+//! DPR_REGEN_GOLDEN=1 cargo test -p dpr-gp --test determinism
+//! ```
 
-use dpr_gp::dedup::DEDUP_ENV;
-use dpr_gp::{Dataset, FittedModel, GpConfig, GpReport, SymbolicRegressor, BATCH_ENV};
+use dpr_gp::{Dataset, GpConfig, SymbolicRegressor};
+use std::fmt::Write as _;
+use std::path::PathBuf;
 
-fn fit_dataset(seed: u64, data: &Dataset) -> (FittedModel, GpReport) {
-    let mut gp = SymbolicRegressor::new(GpConfig::fast(seed));
-    let model = gp.fit(data);
-    let report = gp.last_report().expect("fit records a report").clone();
-    (model, report)
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("fits.txt")
 }
 
 fn sample_datasets() -> Vec<Dataset> {
@@ -42,76 +45,52 @@ fn sample_datasets() -> Vec<Dataset> {
     ]
 }
 
-fn set_config(threads: &str, dedup: &str, batch: &str) {
-    std::env::set_var("DPR_THREADS", threads);
-    std::env::set_var(DEDUP_ENV, dedup);
-    std::env::set_var(BATCH_ENV, batch);
-}
-
-/// One test fn on purpose — see module docs.
-#[test]
-fn parallel_fit_is_bit_identical_to_sequential() {
-    let restore: Vec<(&str, Option<String>)> = ["DPR_THREADS", DEDUP_ENV, BATCH_ENV]
-        .iter()
-        .map(|k| (*k, std::env::var(k).ok()))
-        .collect();
-
-    // The full scoring-path matrix: every thread count × dedup on/off ×
-    // batch policy (adaptive, always-pool, fixed threshold) must produce
-    // the same bits as the sequential default-config fit.
-    let threads = ["1", "2", "4"];
-    let dedups = ["1", "0"];
-    let batches = ["auto", "0", "6"];
-
+/// Fits every dataset × seed and renders the pinned values, one block
+/// per fit.
+fn render_fits() -> String {
+    let mut out = String::new();
     for (k, data) in sample_datasets().iter().enumerate() {
         for seed in [2023u64, 7] {
-            set_config("1", "1", "auto");
-            let (seq_model, seq_report) = fit_dataset(seed, data);
-
-            for t in threads {
-                for dedup in dedups {
-                    for batch in batches {
-                        if (t, dedup, batch) == ("1", "1", "auto") {
-                            continue;
-                        }
-                        set_config(t, dedup, batch);
-                        let (model, report) = fit_dataset(seed, data);
-                        let config = format!(
-                            "dataset {k} seed {seed}: threads {t}, dedup {dedup}, batch {batch}"
-                        );
-                        assert_eq!(seq_model, model, "{config}: model differs");
-                        // Trajectories bit-for-bit, not just approximately.
-                        let seq_bits: Vec<u64> = seq_report
-                            .best_error_history
-                            .iter()
-                            .map(|e| e.to_bits())
-                            .collect();
-                        let bits: Vec<u64> = report
-                            .best_error_history
-                            .iter()
-                            .map(|e| e.to_bits())
-                            .collect();
-                        assert_eq!(seq_bits, bits, "{config}: error trajectory differs");
-                        assert_eq!(
-                            seq_report.stopped_by_threshold, report.stopped_by_threshold,
-                            "{config}: stop reason differs"
-                        );
-                        // `evaluations` counts logical evaluations, so it
-                        // is invariant under dedup as well as threads.
-                        assert_eq!(
-                            seq_model.evaluations, model.evaluations,
-                            "{config}: evaluation counts differ"
-                        );
-                    }
-                }
-            }
+            let mut gp = SymbolicRegressor::new(GpConfig::fast(seed));
+            let model = gp.fit(data);
+            let report = gp.last_report().expect("fit records a report");
+            let history: Vec<String> = report
+                .best_error_history
+                .iter()
+                .map(|e| format!("{:016x}", e.to_bits()))
+                .collect();
+            writeln!(out, "dataset {k} seed {seed}").unwrap();
+            writeln!(out, "formula: {}", model.expr).unwrap();
+            writeln!(out, "evaluations: {}", model.evaluations).unwrap();
+            writeln!(out, "stopped_by_threshold: {}", report.stopped_by_threshold).unwrap();
+            writeln!(out, "best_error_history: {}", history.join(" ")).unwrap();
         }
     }
+    out
+}
 
-    for (key, value) in restore {
-        match value {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
+#[test]
+fn fits_match_the_golden_values() {
+    let path = golden_path();
+    let fresh = render_fits();
+    if std::env::var("DPR_REGEN_GOLDEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &fresh).unwrap();
+        println!("regenerated {}", path.display());
+        return;
     }
+    let checked_in = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} unreadable ({e}); regenerate with DPR_REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
+    for (line, (want, got)) in checked_in.lines().zip(fresh.lines()).enumerate() {
+        assert_eq!(want, got, "golden line {} differs", line + 1);
+    }
+    assert_eq!(
+        checked_in.lines().count(),
+        fresh.lines().count(),
+        "golden file and fresh fits differ in length"
+    );
 }

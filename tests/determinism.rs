@@ -1,16 +1,21 @@
-//! Regression test: the full pipeline is bit-identical under parallel
-//! and sequential GP fitness scoring. `DpReverser::analyze` with
-//! `DPR_THREADS=1` must equal `DPR_THREADS=N` — same
-//! `ReverseEngineeringResult`, same GP error trajectories, same
-//! telemetry counters — because all randomness stays in the sequential
-//! breeding phase and parallel scoring preserves index order. The
-//! scoring-path optimizations layered on top (`DPR_GP_DEDUP` subtree
-//! dedup, `DPR_GP_BATCH` dispatch policy) must also leave the result
-//! untouched at any thread count.
+//! Regression test: the full pipeline is bit-identical at any thread
+//! count, and pinned to checked-in golden output.
+//!
+//! * `DpReverser::analyze` with `DPR_THREADS=1` must equal
+//!   `DPR_THREADS=N` — same `ReverseEngineeringResult`, same GP error
+//!   trajectories, same telemetry counters.
+//! * The canonical result JSON (trace zeroed) of each car must equal
+//!   `tests/golden/car_<id>.json` byte for byte, so a change that moves
+//!   every thread count in step still fails here. If the change to the
+//!   analysis is intentional, regenerate with:
+//!
+//! ```text
+//! DPR_REGEN_GOLDEN=1 cargo test -p dp-reverser --test determinism
+//! ```
 //!
 //! Single `#[test]` function on purpose: the test mutates the
-//! `DPR_THREADS` / `DPR_GP_DEDUP` / `DPR_GP_BATCH` process
-//! environment, and sibling tests in this binary would race on it.
+//! `DPR_THREADS` process environment, and sibling tests in this binary
+//! would race on it.
 
 use dp_reverser::{DpReverser, PipelineConfig, ReverseEngineeringResult};
 use dpr_can::Micros;
@@ -19,6 +24,7 @@ use dpr_frames::Scheme;
 use dpr_telemetry::{MetricsSnapshot, Registry};
 use dpr_tool::{ToolProfile, ToolSession};
 use dpr_vehicle::profiles::{self, CarId};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn quick_collect(id: CarId, seed: u64) -> CollectionReport {
@@ -54,20 +60,36 @@ fn analyze_scoped(
 /// accounting, and the `gp.evals_per_sec` throughput gauge. Everything
 /// else — counters, the `gp.best_error_trajectory` histogram, SDU-size
 /// histograms — must match exactly across thread counts.
-///
-/// With `same_dedup_config: false` the `gp.dedup_*` counters are also
-/// dropped: they count cache behaviour, which legitimately differs
-/// between dedup-on and dedup-off runs (both are still required to be
-/// thread-count-invariant, which the `same_dedup_config: true`
-/// comparisons check).
-fn deterministic_view(snapshot: &MetricsSnapshot, same_dedup_config: bool) -> MetricsSnapshot {
+fn deterministic_view(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
     let mut view = snapshot.without_prefixes(&["span.", "par.", "prof."]);
     view.gauges.remove("gp.evals_per_sec");
-    if !same_dedup_config {
-        view.counters.remove("gp.dedup_hits");
-        view.counters.remove("gp.dedup_distinct");
-    }
     view
+}
+
+/// Compares `json` with the car's checked-in golden file, or rewrites
+/// the file when `DPR_REGEN_GOLDEN` is set.
+fn check_golden(id: CarId, json: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(format!("car_{}.json", format!("{id:?}").to_lowercase()));
+    if std::env::var("DPR_REGEN_GOLDEN").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, json).unwrap();
+        println!("regenerated {}", path.display());
+        return;
+    }
+    let checked_in = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{} unreadable ({e}); regenerate with DPR_REGEN_GOLDEN=1",
+            path.display()
+        )
+    });
+    assert!(
+        checked_in == json,
+        "{id:?}: canonical result JSON diverged from {} — if the analysis \
+         change is intentional, regenerate with DPR_REGEN_GOLDEN=1",
+        path.display()
+    );
 }
 
 /// One test fn on purpose — see module docs.
@@ -77,22 +99,13 @@ fn analyze_is_bit_identical_across_thread_counts() {
         .ok()
         .filter(|v| !v.trim().is_empty())
         .unwrap_or_else(|| "4".to_string());
-    let restore: Vec<(&str, Option<String>)> =
-        ["DPR_THREADS", dpr_gp::dedup::DEDUP_ENV, dpr_gp::BATCH_ENV]
-            .iter()
-            .map(|k| (*k, std::env::var(k).ok()))
-            .collect();
-    let set_gp_config = |dedup: &str, batch: &str| {
-        std::env::set_var(dpr_gp::dedup::DEDUP_ENV, dedup);
-        std::env::set_var(dpr_gp::BATCH_ENV, batch);
-    };
+    let restore = std::env::var("DPR_THREADS").ok();
 
     // Two Tab. 3 car profiles: Car M (formula + enum ESVs) and Car O
     // (ECR recovery) — together they exercise every analyze stage.
     for (id, seed) in [(CarId::M, 5), (CarId::O, 13)] {
         let report = quick_collect(id, seed);
 
-        set_gp_config("1", "auto");
         std::env::set_var("DPR_THREADS", "1");
         let (seq_result, seq_metrics) = analyze_scoped(seed, &report);
         std::env::set_var("DPR_THREADS", &parallel);
@@ -103,37 +116,19 @@ fn analyze_is_bit_identical_across_thread_counts() {
             "{id:?}: result differs between 1 and {parallel} threads"
         );
         assert_eq!(
-            deterministic_view(&seq_metrics, true),
-            deterministic_view(&par_metrics, true),
+            deterministic_view(&seq_metrics),
+            deterministic_view(&par_metrics),
             "{id:?}: telemetry (GP error trajectories, counters) differs"
         );
         // The GP actually ran, so the comparison above had teeth.
         assert!(seq_metrics.counters.get("gp.fits").copied().unwrap_or(0) > 0);
         assert!(seq_metrics.histograms.contains_key("gp.best_error_trajectory"));
 
-        // Scoring-path knobs: dedup off + always-pool batching, and
-        // dedup on + always-pool, both at the parallel thread count,
-        // must reproduce the sequential default-config result exactly.
-        for (dedup, batch) in [("0", "0"), ("1", "0")] {
-            set_gp_config(dedup, batch);
-            let (alt_result, alt_metrics) = analyze_scoped(seed, &report);
-            assert_eq!(
-                seq_result, alt_result,
-                "{id:?}: result differs with dedup={dedup} batch={batch}"
-            );
-            let same_dedup = dedup == "1";
-            assert_eq!(
-                deterministic_view(&seq_metrics, same_dedup),
-                deterministic_view(&alt_metrics, same_dedup),
-                "{id:?}: telemetry differs with dedup={dedup} batch={batch}"
-            );
-        }
+        check_golden(id, &seq_result.canonical_json());
     }
 
-    for (key, value) in restore {
-        match value {
-            Some(v) => std::env::set_var(key, v),
-            None => std::env::remove_var(key),
-        }
+    match restore {
+        Some(v) => std::env::set_var("DPR_THREADS", v),
+        None => std::env::remove_var("DPR_THREADS"),
     }
 }
