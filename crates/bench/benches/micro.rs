@@ -95,10 +95,8 @@ fn bench_compiled_eval(c: &mut Criterion) {
     ] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                pool.par_map(&pop, |e| {
-                    dpr_gp::compile::with_thread_scratch(|scratch| {
-                        CompiledExpr::compile(e).error_on(&cols, metric, scratch)
-                    })
+                pool.par_map_init(&pop, BatchScratch::new, |scratch, e| {
+                    CompiledExpr::compile(e).error_on(&cols, metric, scratch)
                 })
             })
         });
@@ -160,10 +158,8 @@ fn emit_gp_json(_c: &mut Criterion) {
     let n_threads = dpr_par::threads().max(2);
     let score_with = |pool: &dpr_par::Pool| {
         rate(time_passes(min, || {
-            black_box(pool.par_map(&pop, |e| {
-                dpr_gp::compile::with_thread_scratch(|scratch| {
-                    CompiledExpr::compile(e).error_on(&cols, metric, scratch)
-                })
+            black_box(pool.par_map_init(&pop, BatchScratch::new, |scratch, e| {
+                CompiledExpr::compile(e).error_on(&cols, metric, scratch)
             }));
         }))
     };
@@ -200,17 +196,14 @@ fn emit_gp_json(_c: &mut Criterion) {
     // Best of three windows per side: the max filters scheduler noise,
     // which otherwise dwarfs a dispatch-level difference.
     let score_programs = |programs: &[CompiledExpr]| {
+        let mut scratch = BatchScratch::new();
         (0..3)
             .map(|_| {
                 rate(time_passes(min, || {
                     black_box(
                         programs
                             .iter()
-                            .map(|p| {
-                                dpr_gp::compile::with_thread_scratch(|scratch| {
-                                    p.error_on(&cols, metric, scratch)
-                                })
-                            })
+                            .map(|p| p.error_on(&cols, metric, &mut scratch))
                             .sum::<f64>(),
                     );
                 }))
@@ -238,11 +231,7 @@ fn emit_gp_json(_c: &mut Criterion) {
                 black_box(
                     duplicated
                         .iter()
-                        .map(|p| {
-                            dpr_gp::compile::with_thread_scratch(|scratch| {
-                                p.error_on(&cols, metric, scratch)
-                            })
-                        })
+                        .map(|p| p.error_on(&cols, metric, &mut scratch))
                         .sum::<f64>(),
                 );
             }))
@@ -255,11 +244,7 @@ fn emit_gp_json(_c: &mut Criterion) {
                 let rep_errors: Vec<f64> = groups
                     .reps
                     .iter()
-                    .map(|&r| {
-                        dpr_gp::compile::with_thread_scratch(|scratch| {
-                            duplicated[r].error_on(&cols, metric, scratch)
-                        })
-                    })
+                    .map(|&r| duplicated[r].error_on(&cols, metric, &mut scratch))
                     .collect();
                 black_box(
                     groups

@@ -5,7 +5,6 @@
 //! cargo run --release -p dpr-bench --bin dpr-bench -- profile /tmp/m.dprcap
 //! cargo run --release -p dpr-bench --bin dpr-bench -- regress --baseline old.json --current new.json --max-regress 15%
 //! cargo run --release -p dpr-bench --bin dpr-bench -- fleet M N P --hold 30
-//! cargo run --release -p dpr-bench --bin dpr-bench -- scale --threads 1,2,4,8
 //! cargo run --release -p dpr-bench --bin dpr-bench -- serve --addr 127.0.0.1:8080
 //! cargo run --release -p dpr-bench --bin dpr-bench -- serve-load --clients 8
 //! cargo run --release -p dpr-bench --bin dpr-bench -- top 127.0.0.1:8080 --interval 2
@@ -14,12 +13,12 @@
 //!
 //! `profile` runs the pipeline on one car (live, by Tab. 3 letter) or on
 //! a `.dprcap` capture (offline) and prints a self-time flamegraph
-//! profile plus the worker-pool report; `--folded <path>` also writes
+//! profile; `--folded <path>` also writes
 //! inferno-compatible folded stack lines. `regress` compares two
 //! `BENCH_*.json` snapshots and exits non-zero when a gated metric
 //! regressed beyond the tolerance. `fleet` collects and analyzes
-//! several cars under one registry. `scale` sweeps GP scoring across
-//! pool sizes and writes `BENCH_scale.json`. All honor
+//! several cars under one registry, fanned across `DPR_THREADS` pool
+//! workers. All honor
 //! `DPR_TRACE_EVENTS=<path.json>` (Chrome trace-event export) and the
 //! run subcommands honor `DPR_METRICS_ADDR=<addr>` (live Prometheus
 //! scrape endpoint).
@@ -39,8 +38,8 @@ use dpr_telemetry::{Collector, Registry};
 use dpr_vehicle::profiles::CarId;
 
 /// The counting allocator shim: free when `DPR_PROF` is unset, and the
-/// reason `dpr-bench profile` / `dpr-bench scale` can attribute heap
-/// traffic to pool workers when it is.
+/// reason `dpr-bench fleet` can attribute heap traffic to pool workers
+/// when it is.
 #[global_allocator]
 static ALLOC: dpr_prof::alloc::CountingAlloc = dpr_prof::alloc::CountingAlloc;
 
@@ -49,7 +48,6 @@ fn usage() -> ExitCode {
     eprintln!("       dpr-bench regress --baseline <old.json> --current <new.json> [--max-regress <pct>]");
     eprintln!("       dpr-bench fleet <car A..R>... [--read-secs <n>] [--hold <secs>]");
     eprintln!("       dpr-bench explain <car A..R> <sensor | all> [read_secs]");
-    eprintln!("       dpr-bench scale [--threads 1,2,4,8] [--out <BENCH_scale.json>]");
     eprintln!("       dpr-bench serve [--addr <ip:port>] [--workers <n>] [--queue <n>] [--addr-file <path>]");
     eprintln!("       dpr-bench serve-load [--clients <n>] [--requests <n>] [--workers <n>] [--queue <n>] [--cost-us <n>] [--out <BENCH_serve.json>]");
     eprintln!("       dpr-bench snapshot <ip:port> [--raw] [--watch <secs>]");
@@ -65,7 +63,6 @@ fn main() -> ExitCode {
         Some("regress") => regress(&args[1..]),
         Some("fleet") => fleet(&args[1..]),
         Some("explain") => explain(&args[1..]),
-        Some("scale") => scale(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("serve-load") => serve_load_cmd(&args[1..]),
         Some("snapshot") => snapshot_cmd(&args[1..]),
@@ -121,10 +118,6 @@ fn profile(args: &[String]) -> ExitCode {
 
     let profile = flame::aggregate(&collector.records());
     print!("{}", profile.report());
-    print!(
-        "{}",
-        dpr_prof::render_report(&dpr_prof::snapshot(), "pool report").text
-    );
     if let Some(path) = folded_path {
         if let Err(e) = std::fs::write(&path, profile.folded()) {
             eprintln!("error: writing folded stacks to {path}: {e}");
@@ -286,53 +279,6 @@ fn load_json(path: &str) -> Option<dpr_telemetry::json::Value> {
             None
         }
     }
-}
-
-// ———————————————————————————— scale ————————————————————————————
-
-/// Sweeps GP generation scoring across pool sizes, prints the scaling
-/// table plus the largest pool's report, and writes `BENCH_scale.json`
-/// for `dpr-bench regress` to gate.
-fn scale(args: &[String]) -> ExitCode {
-    let mut args = args.to_vec();
-    let threads = match take_flag(&mut args, "--threads") {
-        Some(list) => {
-            let parsed: Vec<usize> = list
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|&t| t > 0)
-                .collect();
-            if parsed.is_empty() {
-                eprintln!("error: bad --threads {list:?} (want e.g. 1,2,4,8)");
-                return ExitCode::from(2);
-            }
-            parsed
-        }
-        None => dpr_bench::scale::default_threads(quick()),
-    };
-    let out_path = take_flag(&mut args, "--out").unwrap_or_else(|| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json").to_string()
-    });
-    // A scaling run is an explicit opt-in to profiling: turn the
-    // counting allocator on so the sweep attributes heap traffic too.
-    // Set before the first par_map so no pool thread exists yet.
-    std::env::set_var(dpr_prof::PROF_ENV, "1");
-
-    println!(
-        "gp scoring scaling sweep at {threads:?} thread(s), seed {EXPERIMENT_SEED}, quick {}…",
-        quick()
-    );
-    let run = dpr_bench::scale::run_scale(&threads, quick());
-    print!("{}", dpr_bench::scale::render_scale(&run));
-    if let Some(point) = run.points.iter().max_by_key(|p| p.threads) {
-        print!("{}", point.report.text);
-    }
-    if let Err(e) = std::fs::write(&out_path, dpr_bench::scale::scale_json(&run)) {
-        eprintln!("error: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out_path}");
-    ExitCode::SUCCESS
 }
 
 // ———————————————————————————— serve ————————————————————————————

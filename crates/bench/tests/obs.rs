@@ -1,7 +1,9 @@
 //! End-to-end observability check: a fleet run with `DPR_TRACE_EVENTS`
 //! set produces a Chrome Trace Event JSON whose complete events include
 //! a `pipeline`-rooted span and, under `DPR_THREADS=2`, at least two
-//! distinct thread ids (the `dpr-par` workers record as their own rows).
+//! distinct thread ids (the per-car `dpr-par` workers record as their
+//! own rows). The run's span names are the same at `DPR_THREADS=1`: a
+//! span's path must not depend on which thread ran it.
 //!
 //! One test function on purpose: it mutates process environment
 //! variables, which must not race a sibling test.
@@ -24,20 +26,33 @@ fn fleet_trace_export_has_pipeline_events_across_threads() {
     let out = std::env::temp_dir().join(format!("dpr-obs-fleet-{}.json", std::process::id()));
     std::env::set_var("DPR_QUICK", "1");
     std::env::set_var("DPR_THREADS", "2");
-    // Force pool dispatch: the adaptive batch policy (correctly) drains
-    // quick-mode populations inline — especially on 1-core CI hosts —
-    // and this test exists to see worker spans in the trace.
-    std::env::set_var(dpr_gp::BATCH_ENV, "0");
     std::env::set_var("DPR_TRACE_EVENTS", &out);
 
-    let run = fleet_traced(&[CarId::M], 1, Duration::ZERO);
+    // Three cars, so the fan-out has work for both threads.
+    let cars = [CarId::M, CarId::O, CarId::A];
+    let run = fleet_traced(&cars, 1, Duration::ZERO);
 
     std::env::remove_var("DPR_TRACE_EVENTS");
-    std::env::remove_var(dpr_gp::BATCH_ENV);
+    std::env::set_var("DPR_THREADS", "1");
+    let single = fleet_traced(&cars, 1, Duration::ZERO);
     std::env::remove_var("DPR_THREADS");
     std::env::remove_var("DPR_QUICK");
 
-    assert_eq!(run.results.len(), 1);
+    let span_names = |snapshot: &dpr_telemetry::MetricsSnapshot| -> BTreeSet<String> {
+        snapshot
+            .histograms
+            .keys()
+            .filter(|k| k.starts_with("span."))
+            .cloned()
+            .collect()
+    };
+    assert_eq!(
+        span_names(&run.snapshot),
+        span_names(&single.snapshot),
+        "span paths differ between DPR_THREADS=2 and DPR_THREADS=1"
+    );
+
+    assert_eq!(run.results.len(), cars.len());
     assert_eq!(run.trace_events.as_deref(), Some(out.as_path()));
     assert!(run.metrics_addr.is_none(), "no DPR_METRICS_ADDR was set");
 

@@ -475,7 +475,7 @@ impl Columns {
 
 /// Reusable batch-evaluation buffers: a stack of row-length `f64` slabs.
 ///
-/// One scratch per thread; [`BatchScratch::ensure`] grows it to the
+/// One scratch per fit; [`BatchScratch::ensure`] grows it to the
 /// demanded (stack depth × row count) shape and is a no-op once warm, so a
 /// generation's scoring pays allocation only on its first individual.
 #[derive(Debug, Default)]
@@ -501,25 +501,6 @@ impl BatchScratch {
             self.bufs.push(vec![0.0; rows]);
         }
     }
-}
-
-thread_local! {
-    static THREAD_SCRATCH: std::cell::RefCell<BatchScratch> =
-        std::cell::RefCell::new(BatchScratch::new());
-}
-
-/// Runs `f` with this thread's persistent [`BatchScratch`].
-///
-/// The pool's worker threads live for the whole process, so routing
-/// scoring through here amortizes the scratch slabs across *every* pool
-/// call a worker ever serves — not just across one call's chunks the way
-/// a `par_map_init`-built scratch would. This is what keeps the scale
-/// bench's `allocs_per_pass` flat as threads are added.
-///
-/// Must not be re-entered from inside `f` (the scratch is mutably
-/// borrowed for the duration); evaluation code has no reason to.
-pub fn with_thread_scratch<R>(f: impl FnOnce(&mut BatchScratch) -> R) -> R {
-    THREAD_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 #[cfg(test)]
@@ -625,20 +606,6 @@ mod tests {
                 assert!(a.to_bits() == b.to_bits(), "{e} with {metric:?}: {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn thread_scratch_is_reused() {
-        let data = Dataset::from_pairs((0..10).map(|i| (f64::from(i), f64::from(i)))).unwrap();
-        let cols = Columns::from_dataset(&data);
-        let c = CompiledExpr::compile(&Expr::Binary(
-            BinaryOp::Mul,
-            Box::new(Expr::Var(0)),
-            Box::new(Expr::Var(0)),
-        ));
-        let a = with_thread_scratch(|s| c.error_on(&cols, Metric::MeanAbsoluteError, s));
-        let b = with_thread_scratch(|s| c.error_on(&cols, Metric::MeanAbsoluteError, s));
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! produced — which is bit-for-bit what scoring the duplicate itself
 //! would have returned, since equal programs run the exact same
 //! instruction sequence. `gp.dedup_hits` / `gp.dedup_distinct` counters
-//! depend only on population contents, so they are identical across
-//! thread counts and with batching on or off.
+//! depend only on population contents.
 //!
 //! Constants are compared by [`f64::to_bits`], not `==`: `-0.0` and
 //! `0.0` evaluate differently under some protected ops, and a NaN
@@ -27,22 +26,6 @@ use std::collections::HashMap;
 
 use crate::compile::{CompiledExpr, Op};
 use crate::expr::{BinaryOp, UnaryOp};
-
-/// The environment variable gating dedup (`0`/`false`/`off`/`no`
-/// disables; anything else, including unset, enables).
-pub const DEDUP_ENV: &str = "DPR_GP_DEDUP";
-
-/// Whether dedup is enabled. Read per scoring call, like `DPR_THREADS`,
-/// so tests and long-lived processes can toggle it between fits.
-pub fn enabled() -> bool {
-    match std::env::var(DEDUP_ENV) {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "false" | "off" | "no"
-        ),
-        Err(_) => true,
-    }
-}
 
 /// The outcome of grouping a batch of programs by structural equality.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,24 +43,14 @@ impl DedupGroups {
     pub fn hits(&self) -> u64 {
         (self.assign.len() - self.reps.len()) as u64
     }
-
-    /// The trivial grouping: every program is its own class. Used when
-    /// dedup is disabled so scoring takes one code path.
-    pub fn identity(n: usize) -> DedupGroups {
-        DedupGroups {
-            reps: (0..n).collect(),
-            assign: (0..n as u32).collect(),
-        }
-    }
 }
 
 /// Groups `programs` into structural equivalence classes.
 ///
 /// Hash-bucketed (FNV-1a over the encoded ops) with a full
 /// [`structural_eq`] check inside each bucket, so hash collisions can
-/// never merge distinct programs. Runs on the breeding thread; cost is
-/// linear in total program length and amounts to ~1% of one
-/// generation's scoring work.
+/// never merge distinct programs. Cost is linear in total program length
+/// and amounts to ~1% of one generation's scoring work.
 pub fn group(programs: &[CompiledExpr]) -> DedupGroups {
     let mut reps: Vec<usize> = Vec::new();
     let mut assign: Vec<u32> = Vec::with_capacity(programs.len());
@@ -291,13 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_grouping_is_one_class_per_program() {
-        let g = DedupGroups::identity(5);
-        assert_eq!(g.reps, vec![0, 1, 2, 3, 4]);
-        assert_eq!(g.hits(), 0);
-    }
-
-    #[test]
     fn nan_constants_group_with_themselves() {
         let e = Expr::Binary(
             BinaryOp::Add,
@@ -308,11 +274,5 @@ mod tests {
         let groups = group(&[p.clone(), p]);
         assert_eq!(groups.reps.len(), 1);
         assert_eq!(groups.hits(), 1);
-    }
-
-    #[test]
-    fn enabled_honors_env_values() {
-        // Read-only check against the default (unset in the test env).
-        assert!(enabled());
     }
 }

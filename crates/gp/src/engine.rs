@@ -10,16 +10,16 @@
 //! * every individual is flattened to a [`CompiledExpr`] and scored with
 //!   the batch evaluator over a column-major [`Columns`] view — both
 //!   bit-identical to the recursive walker;
-//! * each generation is bred *sequentially* (all RNG draws happen here,
-//!   selecting from the previous, fully-scored generation) and then scored
-//!   *in parallel* on the [`dpr_par`] pool in index order. Individuals
+//! * each generation is bred (all RNG draws happen here, selecting from
+//!   the previous, fully-scored generation) and then scored in one pass:
+//!   structurally identical programs are scored once, and individuals
 //!   carried over unchanged — the elite, reproduction children, and
 //!   depth-limit fallbacks — reuse their parent's cached score instead of
 //!   being re-evaluated.
 //!
-//! Because scoring is pure and its outputs are reassembled in input order,
-//! a run with `DPR_THREADS=8` produces exactly the same [`FittedModel`] as
-//! a single-threaded run.
+//! Scoring is pure and draws no randomness, so a seed fixes the
+//! [`FittedModel`] bit for bit. A fit runs on the caller's thread;
+//! callers that want parallelism fan independent fits out themselves.
 
 use std::time::Instant;
 
@@ -33,37 +33,6 @@ use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::model::FittedModel;
 use crate::scaling::ScalePlan;
 use crate::{Dataset, Metric};
-
-/// The environment variable controlling batched scoring dispatch:
-/// a number is the minimum count of distinct pending programs that
-/// justifies waking the pool (`0` always uses the pool, the legacy
-/// behavior); `auto` (or unset) adapts the threshold to the measured
-/// spin-up cost of past scoring calls.
-pub const BATCH_ENV: &str = "DPR_GP_BATCH";
-
-/// The `dpr_prof` label scoring calls run under; the adaptive batch
-/// threshold reads the same label's aggregate back.
-const SCORE_LABEL: &str = "gp.score";
-
-/// Resolves the minimum batch size for pool dispatch. Read per scoring
-/// call, like `DPR_THREADS`, so it can be retuned between fits.
-fn batch_min() -> usize {
-    match std::env::var(BATCH_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => adaptive_batch_min(),
-        },
-        Err(_) => adaptive_batch_min(),
-    }
-}
-
-/// The adaptive threshold: wake the pool only when the predicted parallel
-/// saving clears twice the scoring label's measured spin-up cost. The
-/// prediction itself lives in [`dpr_prof::break_even_items`], fed by the
-/// per-call profiles the pool records under [`SCORE_LABEL`].
-fn adaptive_batch_min() -> usize {
-    dpr_prof::break_even_items(SCORE_LABEL, dpr_par::threads())
-}
 
 /// Which functions the engine may use as tree nodes.
 ///
@@ -292,9 +261,15 @@ impl SymbolicRegressor {
         let mut breeding: Vec<Vec<BreedRec>> = Vec::new();
         let mut cache_hits: u64 = 0;
 
+        let mut scratch = BatchScratch::new();
         let mut evaluations: u64 = 0;
-        let (mut population, init_recs) =
-            self.init_population(&cols, &mut evaluations, &mut cache_hits, lineage_on);
+        let (mut population, init_recs) = self.init_population(
+            &cols,
+            &mut scratch,
+            &mut evaluations,
+            &mut cache_hits,
+            lineage_on,
+        );
         if lineage_on {
             breeding.push(init_recs);
         }
@@ -316,6 +291,7 @@ impl SymbolicRegressor {
             let (next, recs) = self.next_generation(
                 population,
                 &cols,
+                &mut scratch,
                 &mut evaluations,
                 &mut cache_hits,
                 lineage_on,
@@ -374,7 +350,6 @@ impl SymbolicRegressor {
         };
 
         // Constant polishing: hill-climb the winner's numeric leaves.
-        let mut scratch = BatchScratch::new();
         let pre_polish = best.error;
         self.polish(&mut best, &cols, &mut scratch, &mut evaluations);
         if lineage_on && best.error < pre_polish {
@@ -494,25 +469,18 @@ impl SymbolicRegressor {
     ///
     /// Entries carrying a cached `(error, fitness)` — individuals the
     /// breeding phase copied over unchanged — are not re-scored. The rest
-    /// are compiled once on the breeding thread, deduplicated by compiled
-    /// program structure (`DPR_GP_DEDUP`, on by default), and the distinct
-    /// programs are dispatched through the [`dpr_par`] pool — or drained
-    /// inline when the batch is too small to amortize pool wake-up
-    /// (`DPR_GP_BATCH`; the adaptive default sizes the threshold from the
-    /// scoring label's measured spin-up cost in [`dpr_prof`]).
+    /// are compiled, deduplicated by compiled program structure, and each
+    /// distinct program is scored once with the fit's reusable `scratch`.
     ///
-    /// Every decision along that path is timing-blind where it must be:
-    /// scoring is pure, results come back in index order, a duplicate
-    /// reuses the bit-identical error its representative computed, and
-    /// the inline/pool split changes scheduling only — so the outcome is
-    /// bit-identical for any `DPR_THREADS`/`DPR_GP_DEDUP`/`DPR_GP_BATCH`
-    /// combination. `evaluations` stays the *logical* count (pending ×
-    /// rows) regardless of dedup, so reported work is comparable across
-    /// configurations; the physical saving shows up in `gp.dedup_hits`.
+    /// A duplicate reuses the bit-identical error its representative
+    /// computed, so dedup changes cost, never results. `evaluations` stays
+    /// the *logical* count (pending × rows); the physical saving shows up
+    /// in `gp.dedup_hits`.
     fn score_pending(
         &self,
         planned: Vec<(Expr, Option<(f64, f64)>)>,
         cols: &Columns,
+        scratch: &mut BatchScratch,
         evaluations: &mut u64,
         cache_hits: &mut u64,
     ) -> Vec<Individual> {
@@ -529,38 +497,23 @@ impl SymbolicRegressor {
             *cache_hits += hits;
         }
 
-        // Compile on the breeding thread: dedup needs the programs
-        // anyway, compilation is ~1% of scoring cost, and it keeps the
-        // workers purely arithmetic.
         let programs: Vec<CompiledExpr> = pending
             .iter()
             .map(|&i| CompiledExpr::compile(&planned[i].0))
             .collect();
-        let groups = if crate::dedup::enabled() {
-            crate::dedup::group(&programs)
-        } else {
-            crate::dedup::DedupGroups::identity(programs.len())
-        };
+        let groups = crate::dedup::group(&programs);
         if !programs.is_empty() {
             dpr_telemetry::counter("gp.dedup_distinct").inc(groups.reps.len() as u64);
             if groups.hits() > 0 {
                 dpr_telemetry::counter("gp.dedup_hits").inc(groups.hits());
             }
         }
-        let distinct: Vec<&CompiledExpr> = groups.reps.iter().map(|&r| &programs[r]).collect();
-
         let metric = self.config.metric;
-        let min_items = batch_min();
-        // Labelled so the profile store attributes the pool call (and its
-        // per-worker busy/idle/alloc accounting) to GP fitness scoring —
-        // and so the adaptive batch threshold can read the label back.
-        let errors: Vec<f64> = dpr_prof::with_label(SCORE_LABEL, || {
-            dpr_par::Pool::from_env().par_map_batched(&distinct, min_items, |program| {
-                crate::compile::with_thread_scratch(|scratch| {
-                    program.error_on(cols, metric, scratch)
-                })
-            })
-        });
+        let errors: Vec<f64> = groups
+            .reps
+            .iter()
+            .map(|&r| programs[r].error_on(cols, metric, scratch))
+            .collect();
 
         // `pending` is in index order, so fresh scores interleave back
         // into the cached ones by consuming the assignments in sequence.
@@ -587,6 +540,7 @@ impl SymbolicRegressor {
     fn init_population(
         &mut self,
         cols: &Columns,
+        scratch: &mut BatchScratch,
         evaluations: &mut u64,
         cache_hits: &mut u64,
         lineage: bool,
@@ -612,7 +566,7 @@ impl SymbolicRegressor {
         }
 
         // Ramped half-and-half for the rest. Generation happens first (all
-        // RNG draws, sequential); scoring follows in one parallel pass.
+        // RNG draws); scoring follows in one pass.
         let (lo, hi) = self.config.init_depth;
         let unary = self.config.functions.unary.clone();
         let binary = self.config.functions.binary.clone();
@@ -647,6 +601,7 @@ impl SymbolicRegressor {
         let pop = self.score_pending(
             exprs.into_iter().map(|e| (e, None)).collect(),
             cols,
+            scratch,
             evaluations,
             cache_hits,
         );
@@ -704,8 +659,8 @@ impl SymbolicRegressor {
     /// The breeding loop runs sequentially and consumes the RNG stream in
     /// exactly the order the fully-sequential engine did: selection draws
     /// only depend on the *previous* generation's (already known) scores,
-    /// never on a sibling's. Scoring of the bred children then happens in
-    /// one deterministic parallel pass via [`Self::score_pending`].
+    /// never on a sibling's. The bred children are then scored in one pass
+    /// via [`Self::score_pending`].
     ///
     /// Fitness-cache rule: a score is carried over only when the child is
     /// byte-for-byte the parent expression — the elite copy, a
@@ -719,6 +674,7 @@ impl SymbolicRegressor {
         &mut self,
         population: Vec<Individual>,
         cols: &Columns,
+        scratch: &mut BatchScratch,
         evaluations: &mut u64,
         cache_hits: &mut u64,
         lineage: bool,
@@ -790,7 +746,7 @@ impl SymbolicRegressor {
                 });
             }
         }
-        let pop = self.score_pending(planned, cols, evaluations, cache_hits);
+        let pop = self.score_pending(planned, cols, scratch, evaluations, cache_hits);
         (pop, recs)
     }
 

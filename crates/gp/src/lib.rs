@@ -22,11 +22,11 @@
 //!
 //! Fitness scoring — the dominant cost at the paper's 1000 × 30 budget —
 //! runs through [`CompiledExpr`], a postfix-bytecode compilation of the
-//! expression tree evaluated batch-wise over the whole data set, and is
-//! fanned out across the [`dpr_par`] worker pool (`DPR_THREADS`). Both are
-//! bit-identical to the naive recursive, sequential evaluation: all
-//! randomness stays in the sequential breeding phase, so the same seed
-//! yields the same [`FittedModel`] at any thread count.
+//! expression tree evaluated batch-wise over the whole data set, with
+//! structurally identical programs scored once ([`dedup`]). Both are
+//! bit-identical to the naive recursive evaluation: all randomness stays
+//! in the breeding phase, so the same seed yields the same
+//! [`FittedModel`].
 //!
 //! # Example
 //!
@@ -60,7 +60,7 @@ pub mod scaling;
 
 pub use compile::{BatchScratch, Columns, CompiledExpr};
 pub use dataset::{Dataset, DatasetError};
-pub use engine::{FunctionSet, GpConfig, GpReport, SymbolicRegressor, BATCH_ENV};
+pub use engine::{FunctionSet, GpConfig, GpReport, SymbolicRegressor};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use fitness::Metric;
 pub use model::FittedModel;

@@ -7,11 +7,7 @@
 //! `..._speedup` style metrics regress when they drop, `..._us` /
 //! `..._time` style metrics regress when they grow, everything else is
 //! informational — and the comparison flags any change beyond the
-//! tolerance in the bad direction. Thread-scaling speedups additionally
-//! carry an *absolute* floor: any `threads_N.speedup` below
-//! [`SPEEDUP_FLOOR`] regresses even if the baseline was just as bad,
-//! so negative scaling can never be locked in by regenerating the
-//! baseline. Non-numeric fields (the benchmark
+//! tolerance in the bad direction. Non-numeric fields (the benchmark
 //! configuration) are compared for equality: a mismatch is surfaced as
 //! [`Verdict::ConfigChanged`] so a "regression" caused by comparing
 //! different setups is visible, but it does not gate.
@@ -28,25 +24,6 @@ pub enum Direction {
     LowerIsBetter,
     /// Descriptive only (row counts, seeds): reported, never gated.
     Informational,
-}
-
-/// Absolute floor for thread-scaling speedups: a `threads_N.speedup`
-/// below 1.0 means the pool ran the workload slower than the inline
-/// 1-thread pass, which is a regression no matter what the baseline
-/// recorded (a baseline captured on a bad day must not grandfather
-/// negative scaling in).
-pub const SPEEDUP_FLOOR: f64 = 1.0;
-
-/// Measurement-noise allowance under [`SPEEDUP_FLOOR`]. On hosts where
-/// the adaptive dispatcher drains inline (no second core), the N-thread
-/// point runs the same code as the 1-thread point and the true ratio is
-/// exactly 1.0 — two separately timed windows still jitter a few percent
-/// around it. The floor exists to catch real negative scaling (the seed
-/// regressed to 0.80×), not that jitter.
-pub const SPEEDUP_FLOOR_SLACK: f64 = 0.05;
-
-fn below_speedup_floor(key: &str, current: f64) -> bool {
-    key.to_ascii_lowercase().ends_with(".speedup") && current < SPEEDUP_FLOOR - SPEEDUP_FLOOR_SLACK
 }
 
 /// Classifies a metric name. Names win in this order: throughput markers,
@@ -228,10 +205,7 @@ fn compare_leaf(key: &str, base: &Value, cur: &Value, max_regress: f64) -> Row {
     match (as_number(base), as_number(cur)) {
         (Some(b), Some(c)) => {
             let change = if b == 0.0 { None } else { Some((c - b) / b) };
-            let verdict = if below_speedup_floor(key, c) {
-                Verdict::Regressed
-            } else {
-                match (direction, change) {
+            let verdict = match (direction, change) {
                 (Direction::Informational, _) | (_, None) => Verdict::Pass,
                 (Direction::HigherIsBetter, Some(delta)) if delta < -max_regress => {
                     Verdict::Regressed
@@ -246,7 +220,6 @@ fn compare_leaf(key: &str, base: &Value, cur: &Value, max_regress: f64) -> Row {
                     Verdict::Improved
                 }
                 _ => Verdict::Pass,
-                }
             };
             Row {
                 metric: key.to_string(),
@@ -362,35 +335,6 @@ mod tests {
             direction_for("threads_2.allocs_per_pass"),
             Direction::LowerIsBetter
         );
-    }
-
-    #[test]
-    fn speedup_below_floor_regresses_even_against_an_equal_baseline() {
-        let bad = json::parse(
-            "{\"threads_2\":{\"speedup\":0.92,\"evals_per_sec\":50000},\
-             \"threads_1\":{\"speedup\":1.0,\"evals_per_sec\":54000}}",
-        )
-        .expect("valid");
-        // Baseline is identically bad — the relative gate would pass,
-        // but the absolute floor must still fire.
-        let cmp = compare(&bad, &bad, 0.15);
-        assert!(cmp.has_regressions());
-        let regressed: Vec<&str> = cmp.regressions().map(|r| r.metric.as_str()).collect();
-        assert_eq!(regressed, vec!["threads_2.speedup"]);
-    }
-
-    #[test]
-    fn speedup_within_noise_of_the_floor_does_not_trip_it() {
-        let ok = json::parse(
-            "{\"threads_2\":{\"speedup\":0.97},\"threads_1\":{\"speedup\":1.0}}",
-        )
-        .expect("valid");
-        let cmp = compare(&ok, &ok, 0.15);
-        assert!(!cmp.has_regressions(), "{}", render(&cmp));
-        // Micro-bench keys like compiled_speedup use the relative gate
-        // only; the floor is scoped to the thread-scaling sweep.
-        let micro = json::parse("{\"compiled_speedup\":0.9}").expect("valid");
-        assert!(!compare(&micro, &micro, 0.15).has_regressions());
     }
 
     #[test]

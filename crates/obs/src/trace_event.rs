@@ -23,7 +23,7 @@
 //! `dpr_prof` profile store: every parallel `par_map` call recorded
 //! after this exporter was created contributes a step up to its
 //! utilization percentage at call start and back to zero at call end,
-//! keyed by its profile label (e.g. `gp.score`) — so worker
+//! keyed by its profile label (`par` unless the caller set one) — so worker
 //! efficiency is visible directly above the `par.chunk` rows it
 //! explains. Profiles carry `epoch_start_us` on the same registry
 //! timeline as spans, which is what makes the overlay line up.

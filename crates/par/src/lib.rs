@@ -6,8 +6,9 @@
 //! chunks off an atomic cursor, and results are reassembled in input order
 //! before returning. As long as the mapped function is pure (no shared
 //! mutable state, no RNG), `par_map` with 1 thread and with N threads
-//! produce the same `Vec` — which is what lets the GP engine parallelize
-//! fitness scoring without perturbing its deterministic evolution.
+//! produce the same `Vec` — which is what lets callers fan seeded,
+//! independent work (e.g. one analysis per car in `dpr-bench`) across
+//! threads without perturbing a single result.
 //!
 //! # The persistent pool
 //!
@@ -19,10 +20,8 @@
 //! is what makes small jobs safe: the already-running submitter starts
 //! claiming chunks immediately, so wake-up latency overlaps useful work
 //! and a call can never be slower than running inline by more than the
-//! join cost. Earlier versions spawned fresh OS threads on *every*
-//! call, which on the GP fitness path meant thousands of spawns per run
-//! — the `par.pool_spawns` counter now records exactly how many threads
-//! a call actually created (0 once the pool is warm). Because the
+//! join cost. The `par.pool_spawns` counter records exactly how many
+//! threads a call actually created (0 once the pool is warm). Because the
 //! caller blocks until the job completes, borrowed inputs work without
 //! `'static` bounds and a panic in any worker propagates to the caller.
 //!
@@ -46,11 +45,13 @@
 //! # Telemetry and profiling
 //!
 //! Workers are named `gp-worker-N` and run inside the caller's scoped
-//! telemetry registry (`dpr_telemetry::scoped` is thread-local, so the
-//! pool re-enters it on each job). Every claimed chunk is timed under
-//! a `par.chunk` span, which is what makes pool rows visible in exported
-//! traces; metrics recorded by the mapped function land in the calling
-//! run's registry, not the process-wide global one.
+//! telemetry registry, log context and span stack (all thread-local, so
+//! the pool re-enters them on each job). Every claimed chunk is timed
+//! under a `par.chunk` span nested under the caller's open spans — on
+//! the inline path too — so a span's path never depends on which thread
+//! ran it or how many threads there were. Metrics recorded by the mapped
+//! function land in the calling run's registry, not the process-wide
+//! global one.
 //!
 //! Every call additionally records a `dpr_prof::CallProfile` — per-worker
 //! busy/wait/idle microseconds, chunk geometry, spin-up and teardown
@@ -213,34 +214,6 @@ impl Pool {
             .flat_map(|slot| slot.expect("every chunk was claimed and filled"))
             .collect()
     }
-
-    /// [`par_map`](Pool::par_map) behind a minimum-batch gate: batches of
-    /// fewer than `min_items` items are drained inline on the caller's
-    /// thread (never waking the pool), larger ones are flushed through it
-    /// in one call. `min_items == 0` always flushes.
-    ///
-    /// The decision is timing-blind — it looks only at the batch size the
-    /// caller computed — so results stay bit-identical whichever side is
-    /// taken; only the `par.batch_*` telemetry (which the determinism
-    /// suite strips along with the rest of `par.*`) records the choice.
-    pub fn par_map_batched<T, R, F>(&self, items: &[T], min_items: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        if self.threads > 1 {
-            // `usize::MAX` is the "never flush" sentinel (hosts with no
-            // second core); saturate rather than wrap the gauge.
-            dpr_telemetry::gauge("par.batch_threshold").set(min_items.min(i64::MAX as usize) as i64);
-            if min_items > 0 && items.len() < min_items {
-                dpr_telemetry::counter("par.batch_inline_drains").inc(1);
-                return Pool::new(1).par_map(items, f);
-            }
-            dpr_telemetry::counter("par.batch_flushes").inc(1);
-        }
-        self.par_map(items, f)
-    }
 }
 
 /// The call's start on the caller's telemetry-registry timeline — the
@@ -260,7 +233,12 @@ where
 {
     let alloc_before = dpr_prof::alloc::thread_alloc_stats();
     let mut state = init();
-    let out: Vec<R> = items.iter().map(|item| f(&mut state, item)).collect();
+    let out: Vec<R> = {
+        // The whole input is one chunk, timed under the same span name the
+        // pooled path uses, so span paths do not depend on the thread count.
+        let _span = (n > 0).then(|| dpr_telemetry::Span::enter("par.chunk"));
+        items.iter().map(|item| f(&mut state, item)).collect()
+    };
     let wall_us = started.elapsed().as_micros() as u64;
     let alloc = dpr_prof::alloc::thread_alloc_stats().since(alloc_before);
     let profile = CallProfile {
@@ -518,20 +496,25 @@ mod tests {
     }
 
     #[test]
-    fn batched_dispatch_is_identical_on_both_sides_of_the_gate() {
-        let items: Vec<u64> = (0..48).collect();
-        let f = |x: &u64| (*x as f64).sqrt().sin();
-        let pooled = Pool::new(4).par_map_batched(&items, 8, f);
-        let drained = Pool::new(4).par_map_batched(&items[..4], 8, f);
-        let reference: Vec<f64> = items.iter().map(f).collect();
-        assert!(pooled
-            .iter()
-            .zip(&reference)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(drained
-            .iter()
-            .zip(&reference[..4])
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+    fn chunk_spans_nest_under_the_callers_span_at_any_thread_count() {
+        let items: Vec<u64> = (0..16).collect();
+        for threads in [1, 4] {
+            let reg = std::sync::Arc::new(dpr_telemetry::Registry::new());
+            dpr_telemetry::scoped(std::sync::Arc::clone(&reg), || {
+                let _fleet = dpr_telemetry::Span::enter("fleet");
+                Pool::new(threads).par_map(&items, |x| {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    x + 1
+                })
+            });
+            let spans: Vec<String> = reg
+                .snapshot()
+                .histograms
+                .into_keys()
+                .filter(|k| k.starts_with("span."))
+                .collect();
+            assert_eq!(spans, ["span.fleet", "span.fleet.par.chunk"], "{threads} thread(s)");
+        }
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! bounds — that is the invariant the `unsafe` below leans on.
 //!
 //! Parked workers briefly spin (bounded [`PARK_SPINS`] yields) before
-//! sleeping on the condvar, so back-to-back jobs — the GP fitness loop
-//! publishes one per generation — are usually picked up without paying
-//! a kernel wake-up at all.
+//! sleeping on the condvar, so back-to-back jobs are usually picked up
+//! without paying a kernel wake-up at all.
 //!
 //! There is exactly one job slot: concurrent top-level `par_map` calls
 //! serialize on it, and a nested call from inside a worker runs inline
@@ -108,6 +107,9 @@ struct Job {
     /// The submitter's correlation context (`job_id`, `req_id`), carried
     /// onto pool workers so their log records join the same story.
     log_context: Arc<Vec<(&'static str, String)>>,
+    /// The submitter's open spans, so a worker's spans report the same
+    /// paths as the submitter's own share of the job.
+    spans: Arc<Vec<&'static str>>,
     panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
 }
 
@@ -179,8 +181,8 @@ impl Drop for WorkerScope {
 }
 
 /// Bounded number of `yield_now` loops a worker spins through before
-/// parking on the condvar. Back-to-back jobs (one per GP generation)
-/// arrive well inside this window, skipping the kernel wake-up.
+/// parking on the condvar. Back-to-back jobs arrive well inside this
+/// window, skipping the kernel wake-up.
 const PARK_SPINS: usize = 64;
 
 /// Publishes `ctx` as one job for `workers` participants and blocks
@@ -227,6 +229,7 @@ where
             epoch: st.epoch,
             registry,
             log_context: Arc::new(dpr_log::context_snapshot()),
+            spans: Arc::new(dpr_telemetry::open_spans()),
             panic: Arc::clone(&panic_slot),
         });
         st.active = extras;
@@ -281,9 +284,9 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                     break job;
                 }
                 if spins < PARK_SPINS {
-                    // Spin briefly before parking: the next job usually
-                    // follows within microseconds on the hot GP path, and
-                    // re-checking after a yield beats a condvar round-trip.
+                    // Spin briefly before parking: back-to-back jobs
+                    // follow within microseconds, and re-checking after a
+                    // yield beats a condvar round-trip.
                     spins += 1;
                     drop(st);
                     std::thread::yield_now();
@@ -293,26 +296,32 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
                 }
             }
         };
-        // Re-enter the caller's telemetry registry and log context for the
-        // job's duration: both are thread-local, so without this hand-off
-        // every span, counter, or log record emitted inside the mapped
-        // function would lose its run attribution. The panic is caught
-        // *inside* the scope so `scoped` always unwinds its stack cleanly.
-        dpr_log::with_context(&job.log_context, || dpr_telemetry::scoped(Arc::clone(&job.registry), || {
-            // SAFETY: the submitter blocks until we decrement `active`
-            // below, so the `Ctx` behind `task.data` is still alive. The
-            // caller holds stats slot 0, so pool thread N records as
-            // worker N + 1.
-            let result = catch_unwind(AssertUnwindSafe(|| unsafe {
-                (job.task.run)(job.task.data, index + 1)
-            }));
-            if let Err(payload) = result {
-                let mut slot = job.panic.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-        }));
+        // Re-enter the caller's telemetry registry, log context and span
+        // stack for the job's duration: all are thread-local, so without
+        // this hand-off every span, counter, or log record emitted inside
+        // the mapped function would lose its run attribution, and span
+        // paths would depend on which thread ran a chunk. The panic is
+        // caught *inside* the scope so `scoped` always unwinds its stack
+        // cleanly.
+        dpr_log::with_context(&job.log_context, || {
+            dpr_telemetry::scoped(Arc::clone(&job.registry), || {
+                dpr_telemetry::with_parents(&job.spans, || {
+                    // SAFETY: the submitter blocks until we decrement
+                    // `active` below, so the `Ctx` behind `task.data` is
+                    // still alive. The caller holds stats slot 0, so pool
+                    // thread N records as worker N + 1.
+                    let result = catch_unwind(AssertUnwindSafe(|| unsafe {
+                        (job.task.run)(job.task.data, index + 1)
+                    }));
+                    if let Err(payload) = result {
+                        let mut slot = job.panic.lock().unwrap_or_else(|e| e.into_inner());
+                        if slot.is_none() {
+                            *slot = Some(payload);
+                        }
+                    }
+                })
+            })
+        });
         let mut st = lock(&shared);
         st.active -= 1;
         let finished = st.active == 0;

@@ -37,7 +37,7 @@
 //! pass-through to the system allocator with a single relaxed atomic
 //! load of overhead. Workers sample the thread-local counters around
 //! the mapped function, so a `CallProfile` shows whether scratch
-//! (`BatchScratch`) is actually reused or re-allocated per item.
+//! is actually reused or re-allocated per item.
 //!
 //! # Determinism
 //!
@@ -55,8 +55,7 @@ mod store;
 
 pub use report::{render_report, PoolReport};
 pub use store::{
-    break_even_items, label_summary, record_call, reset, snapshot, CallProfile, LabelSummary,
-    ProfSnapshot, WorkerStats,
+    record_call, reset, snapshot, CallProfile, LabelSummary, ProfSnapshot, WorkerStats,
 };
 
 use std::cell::RefCell;
@@ -101,8 +100,7 @@ thread_local! {
 }
 
 /// Runs `f` with `label` pushed onto the current thread's profile-label
-/// stack, so [`CallProfile`]s recorded inside are attributed to it
-/// (e.g. the GP engine wraps scoring in `with_label("gp.score", ..)`).
+/// stack, so [`CallProfile`]s recorded inside are attributed to it.
 pub fn with_label<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
     struct PopOnDrop;
     impl Drop for PopOnDrop {

@@ -1,5 +1,5 @@
-//! The textual pool report: turns a [`ProfSnapshot`] into the table and
-//! diagnosis lines printed by `dpr-bench profile` / `dpr-bench scale`.
+//! The textual pool report: turns a [`ProfSnapshot`] into a table plus
+//! diagnosis lines that name what is eating a pool's speedup.
 
 use crate::store::{LabelSummary, ProfSnapshot};
 

@@ -44,7 +44,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use sink::{Collector, JsonLines, Sink, SpanLine, SpanRecord};
-pub use span::{thread_id, Span};
+pub use span::{open_spans, thread_id, with_parents, Span};
 pub use trace::{PipelineTrace, StageTrace, TraceBuilder};
 
 use std::cell::RefCell;

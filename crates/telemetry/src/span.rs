@@ -40,6 +40,29 @@ fn thread_identity() -> (u64, Option<String>) {
     TID.with(|t| (t.0, t.1.clone()))
 }
 
+/// The current thread's open span names, outermost first. Hand them to
+/// [`with_parents`] on another thread to nest that thread's spans under
+/// this one's.
+pub fn open_spans() -> Vec<&'static str> {
+    STACK.with(|stack| stack.borrow().clone())
+}
+
+/// Runs `f` with `parents` as the current thread's span stack, so spans
+/// opened inside report the same paths they would on the thread the
+/// parents came from (a pool worker's `par.chunk` nests under the
+/// submitter's `fleet`). The thread's own stack is restored afterwards,
+/// also when `f` unwinds.
+pub fn with_parents<R>(parents: &[&'static str], f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<&'static str>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            STACK.with(|stack| std::mem::swap(&mut *stack.borrow_mut(), &mut self.0));
+        }
+    }
+    let _restore = Restore(STACK.with(|stack| stack.replace(parents.to_vec())));
+    f()
+}
+
 /// An open span. Created by [`Span::enter`]; closing happens on drop.
 #[must_use = "a span measures until dropped; binding it to _ closes it immediately"]
 #[derive(Debug)]
@@ -161,6 +184,31 @@ mod tests {
         assert!(snap.histograms.contains_key("span.pipeline.ocr"));
         assert_eq!(snap.histograms["span.pipeline"].count, 1);
         // No tear: guards closed innermost-first.
+        assert!(!snap.counters.contains_key("telemetry.span_stack_torn"));
+    }
+
+    #[test]
+    fn spans_nest_under_parents_handed_to_another_thread() {
+        let reg = Arc::new(Registry::new());
+        let (outside, inside) = scoped(Arc::clone(&reg), || {
+            let _fleet = Span::enter("fleet");
+            let parents = open_spans();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    scoped(Arc::clone(&reg), || {
+                        let inside =
+                            with_parents(&parents, || Span::enter("chunk").path().to_string());
+                        (open_spans(), inside)
+                    })
+                })
+                .join()
+                .unwrap()
+            })
+        });
+        assert_eq!(inside, "fleet.chunk");
+        assert!(outside.is_empty(), "the worker's own stack is restored");
+        let snap = reg.snapshot();
+        assert!(snap.histograms.contains_key("span.fleet.chunk"));
         assert!(!snap.counters.contains_key("telemetry.span_stack_torn"));
     }
 

@@ -40,26 +40,30 @@ fn profiling_does_not_change_pipeline_output() {
     let restore = std::env::var(dpr_prof::PROF_ENV).ok();
 
     // The same two Tab. 3 car profiles the thread-count determinism test
-    // uses: Car M (formula + enum ESVs) and Car O (ECR recovery).
-    for (id, seed) in [(CarId::M, 5), (CarId::O, 13)] {
-        let report = quick_collect(id, seed);
+    // uses: Car M (formula + enum ESVs) and Car O (ECR recovery). Each
+    // is collected and analyzed on the `dpr-par` pool, whose calls are
+    // what profiling instruments.
+    let cars = [(CarId::M, 5), (CarId::O, 13)];
+    let analyze_all =
+        || dpr_par::par_map(&cars, |&(id, seed)| analyze(seed, &quick_collect(id, seed)));
 
-        std::env::remove_var(dpr_prof::PROF_ENV);
-        let off = analyze(seed, &report);
-        assert!(
-            !dpr_prof::enabled(),
-            "profiling should be off with {} unset",
-            dpr_prof::PROF_ENV
-        );
+    std::env::remove_var(dpr_prof::PROF_ENV);
+    let offs = analyze_all();
+    assert!(
+        !dpr_prof::enabled(),
+        "profiling should be off with {} unset",
+        dpr_prof::PROF_ENV
+    );
 
-        std::env::set_var(dpr_prof::PROF_ENV, "1");
-        let on = analyze(seed, &report);
-        assert!(
-            dpr_prof::enabled(),
-            "the run above should have refreshed {}=1",
-            dpr_prof::PROF_ENV
-        );
+    std::env::set_var(dpr_prof::PROF_ENV, "1");
+    let ons = analyze_all();
+    assert!(
+        dpr_prof::enabled(),
+        "the runs above should have refreshed {}=1",
+        dpr_prof::PROF_ENV
+    );
 
+    for (((id, _), off), on) in cars.iter().zip(offs).zip(ons) {
         assert_eq!(off, on, "{id:?}: result differs with {}=1", dpr_prof::PROF_ENV);
         // Byte-level identity: serialize both results with the one
         // wall-clock-carrying field (the stage trace) cleared — stage
@@ -74,10 +78,10 @@ fn profiling_does_not_change_pipeline_output() {
             "{id:?}: canonical JSON differs with {}=1",
             dpr_prof::PROF_ENV
         );
-        // The profiled run actually recorded pool calls, so the
-        // comparison above had teeth.
-        assert!(dpr_prof::snapshot().total_calls > 0);
     }
+    // The profiled run actually recorded pool calls, so the comparison
+    // above had teeth.
+    assert!(dpr_prof::snapshot().total_calls > 0);
 
     match restore {
         Some(v) => std::env::set_var(dpr_prof::PROF_ENV, v),
