@@ -1,7 +1,9 @@
 //! Golden pin: a seeded GP fit reproduces, bit for bit, the values
 //! checked in at `tests/golden/fits.txt` — the fitted formula, the
 //! per-generation best-error trajectory (as `f64::to_bits`), the logical
-//! `evaluations` count and the stopping reason. All randomness lives in
+//! `evaluations` count, the stopping reason, and the scoring counters
+//! (`gp.fitness_cache_hits`, `gp.dedup_hits`, `gp.dedup_distinct`) read
+//! from a registry scoped to the fit. All randomness lives in
 //! breeding, and scoring is a pure function of each program, so any
 //! change to how a population is scored (dispatch, dedup, scratch reuse)
 //! must leave every pinned value untouched.
@@ -16,6 +18,7 @@
 use dpr_gp::{Dataset, GpConfig, SymbolicRegressor};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -52,7 +55,8 @@ fn render_fits() -> String {
     for (k, data) in sample_datasets().iter().enumerate() {
         for seed in [2023u64, 7] {
             let mut gp = SymbolicRegressor::new(GpConfig::fast(seed));
-            let model = gp.fit(data);
+            let registry = Arc::new(dpr_telemetry::Registry::new());
+            let model = dpr_telemetry::scoped(Arc::clone(&registry), || gp.fit(data));
             let report = gp.last_report().expect("fit records a report");
             let history: Vec<String> = report
                 .best_error_history
@@ -64,6 +68,9 @@ fn render_fits() -> String {
             writeln!(out, "evaluations: {}", model.evaluations).unwrap();
             writeln!(out, "stopped_by_threshold: {}", report.stopped_by_threshold).unwrap();
             writeln!(out, "best_error_history: {}", history.join(" ")).unwrap();
+            for name in ["gp.fitness_cache_hits", "gp.dedup_hits", "gp.dedup_distinct"] {
+                writeln!(out, "{name}: {}", registry.counter(name).get()).unwrap();
+            }
         }
     }
     out
