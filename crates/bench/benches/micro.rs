@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks for the hot paths: GP inference (the Tab. 8
-//! cost driver), compiled vs. recursive expression evaluation, 1- vs
-//! N-thread generation scoring, ISO-TP stream reassembly, OCR frame
-//! reading, and the click-route planner.
+//! cost driver), compiled vs. recursive expression evaluation, ISO-TP
+//! stream reassembly, OCR frame reading, and the click-route planner.
 //!
 //! Besides the Criterion medians this target emits a machine-readable
 //! `BENCH_gp.json` at the workspace root (override with
@@ -16,7 +15,10 @@ use dpr_baselines::{LinearRegression, PolynomialFit, Regressor};
 use dpr_can::Micros;
 use dpr_cps::{plan_route, PlanStrategy};
 use dpr_gp::expr::{BinaryOp, Expr, UnaryOp};
-use dpr_gp::{BatchScratch, Columns, CompiledExpr, Dataset, GpConfig, Metric, SymbolicRegressor};
+use dpr_gp::{
+    BatchScratch, Columns, CompiledExpr, Dataset, FunctionSet, Genome, GpConfig, Metric,
+    SymbolicRegressor,
+};
 use dpr_ocr::{mad_inliers, OcrChannel};
 use dpr_transport::isotp::IsoTpStreamDecoder;
 use rand::rngs::StdRng;
@@ -47,35 +49,28 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// A GP-typical population: random grow trees over the full 14-function
-/// set, the shapes the engine actually scores every generation.
-fn gp_population(n: usize, depth: usize) -> Vec<Expr> {
-    let mut rng = StdRng::seed_from_u64(2023);
+/// A GP-typical population: random grow genomes over `functions`, the
+/// shapes the engine actually scores every generation.
+fn gp_population(seed: u64, n: usize, depth: usize, functions: &FunctionSet) -> Vec<Genome> {
+    let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
-        .map(|_| {
-            Expr::random_grow(
-                &mut rng,
-                depth,
-                2,
-                &UnaryOp::ALL,
-                &BinaryOp::ALL,
-                (-10.0, 10.0),
-            )
-        })
+        .map(|_| Genome::random_grow(&mut rng, depth, 2, functions, (-10.0, 10.0)))
         .collect()
 }
 
 fn bench_compiled_eval(c: &mut Criterion) {
     let data = gp_dataset();
     let cols = Columns::from_dataset(&data);
-    let pop = gp_population(64, 6);
+    let pop = gp_population(2023, 64, 6, &FunctionSet::full());
+    let trees: Vec<Expr> = pop.iter().map(Genome::to_expr).collect();
     let metric = Metric::MeanAbsoluteError;
 
     let mut group = c.benchmark_group("gp_scoring");
     group.sample_size(10);
     group.bench_function("recursive_tree_walk", |b| {
         b.iter(|| {
-            pop.iter()
+            trees
+                .iter()
                 .map(|e| metric.error(black_box(e), &data))
                 .sum::<f64>()
         })
@@ -84,23 +79,10 @@ fn bench_compiled_eval(c: &mut Criterion) {
         let mut scratch = BatchScratch::new();
         b.iter(|| {
             pop.iter()
-                .map(|e| CompiledExpr::compile(black_box(e)).error_on(&cols, metric, &mut scratch))
+                .map(|g| black_box(g).compile().error_on(&cols, metric, &mut scratch))
                 .sum::<f64>()
         })
     });
-    let n_threads = dpr_par::threads().max(2);
-    for (label, pool) in [
-        ("scoring_pool_1_thread", dpr_par::Pool::new(1)),
-        ("scoring_pool_n_threads", dpr_par::Pool::new(n_threads)),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                pool.par_map_init(&pop, BatchScratch::new, |scratch, e| {
-                    CompiledExpr::compile(e).error_on(&cols, metric, scratch)
-                })
-            })
-        });
-    }
     group.finish();
 }
 
@@ -122,8 +104,8 @@ fn time_passes(min: Duration, mut pass: impl FnMut()) -> (u32, Duration) {
 }
 
 /// Times the GP scoring paths and writes `BENCH_gp.json`: evals/sec for
-/// recursive vs. compiled evaluation and 1- vs. N-thread pool scoring,
-/// plus the two derived speedups.
+/// recursive vs. compiled evaluation, plus the compiled, superinstruction
+/// and dedup speedups.
 fn emit_gp_json(_c: &mut Criterion) {
     let quick = dpr_bench::quick();
     let min = if quick {
@@ -133,7 +115,8 @@ fn emit_gp_json(_c: &mut Criterion) {
     };
     let data = gp_dataset();
     let cols = Columns::from_dataset(&data);
-    let pop = gp_population(if quick { 32 } else { 128 }, 6);
+    let pop = gp_population(2023, if quick { 32 } else { 128 }, 6, &FunctionSet::full());
+    let trees: Vec<Expr> = pop.iter().map(Genome::to_expr).collect();
     let metric = Metric::MeanAbsoluteError;
     let evals_per_pass = (pop.len() * data.len()) as f64;
     let rate = |(passes, elapsed): (u32, Duration)| {
@@ -142,7 +125,8 @@ fn emit_gp_json(_c: &mut Criterion) {
 
     let recursive = rate(time_passes(min, || {
         black_box(
-            pop.iter()
+            trees
+                .iter()
                 .map(|e| metric.error(e, &data))
                 .sum::<f64>(),
         );
@@ -151,20 +135,10 @@ fn emit_gp_json(_c: &mut Criterion) {
     let compiled = rate(time_passes(min, || {
         black_box(
             pop.iter()
-                .map(|e| CompiledExpr::compile(e).error_on(&cols, metric, &mut scratch))
+                .map(|g| g.compile().error_on(&cols, metric, &mut scratch))
                 .sum::<f64>(),
         );
     }));
-    let n_threads = dpr_par::threads().max(2);
-    let score_with = |pool: &dpr_par::Pool| {
-        rate(time_passes(min, || {
-            black_box(pool.par_map_init(&pop, BatchScratch::new, |scratch, e| {
-                CompiledExpr::compile(e).error_on(&cols, metric, scratch)
-            }));
-        }))
-    };
-    let par1 = score_with(&dpr_par::Pool::new(1));
-    let parn = score_with(&dpr_par::Pool::new(n_threads));
 
     // Superinstruction speedup: the same precompiled programs with and
     // without peephole fusion, scored single-threaded so the ratio
@@ -175,24 +149,13 @@ fn emit_gp_json(_c: &mut Criterion) {
     // fusion covers most of each program; the full 14-function
     // population above understates the win because transcendental
     // evaluation, not dispatch, dominates its runtime.
-    let mut rng = StdRng::seed_from_u64(7);
-    let formula_pop: Vec<Expr> = (0..pop.len())
-        .map(|_| {
-            Expr::random_grow(
-                &mut rng,
-                6,
-                2,
-                &[UnaryOp::Neg],
-                &[BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div],
-                (-10.0, 10.0),
-            )
-        })
-        .collect();
-    let fused: Vec<CompiledExpr> = formula_pop.iter().map(CompiledExpr::compile).collect();
-    let unfused: Vec<CompiledExpr> = formula_pop
-        .iter()
-        .map(CompiledExpr::compile_unfused)
-        .collect();
+    let formula_functions = FunctionSet {
+        unary: vec![UnaryOp::Neg],
+        binary: vec![BinaryOp::Add, BinaryOp::Sub, BinaryOp::Mul, BinaryOp::Div],
+    };
+    let formula_pop = gp_population(7, pop.len(), 6, &formula_functions);
+    let fused: Vec<CompiledExpr> = formula_pop.iter().map(Genome::compile).collect();
+    let unfused: Vec<CompiledExpr> = formula_pop.iter().map(Genome::compile_unfused).collect();
     // Best of three windows per side: the max filters scheduler noise,
     // which otherwise dwarfs a dispatch-level difference.
     let score_programs = |programs: &[CompiledExpr]| {
@@ -215,11 +178,14 @@ fn emit_gp_json(_c: &mut Criterion) {
 
     // Dedup speedup on a population with a 50% duplicate share — the
     // regime breeding actually produces (clone-heavy late generations).
+    // Both sides start from genomes, as the engine does: without dedup
+    // every genome is compiled and scored; with it the genomes are
+    // grouped and one representative per group is compiled and scored.
     // The dedup side pays for grouping inside the timed pass, so the
     // ratio is honest about bookkeeping overhead.
     let dup_share = 0.5;
-    let duplicated: Vec<CompiledExpr> = (0..fused.len() * 2)
-        .map(|i| fused[i % fused.len()].clone())
+    let duplicated: Vec<&Genome> = (0..formula_pop.len() * 2)
+        .map(|i| &formula_pop[i % formula_pop.len()])
         .collect();
     let dup_evals = (duplicated.len() * data.len()) as f64;
     let dup_rate = |(passes, elapsed): (u32, Duration)| {
@@ -231,7 +197,7 @@ fn emit_gp_json(_c: &mut Criterion) {
                 black_box(
                     duplicated
                         .iter()
-                        .map(|p| p.error_on(&cols, metric, &mut scratch))
+                        .map(|g| g.compile().error_on(&cols, metric, &mut scratch))
                         .sum::<f64>(),
                 );
             }))
@@ -244,7 +210,7 @@ fn emit_gp_json(_c: &mut Criterion) {
                 let rep_errors: Vec<f64> = groups
                     .reps
                     .iter()
-                    .map(|&r| duplicated[r].error_on(&cols, metric, &mut scratch))
+                    .map(|&r| duplicated[r].compile().error_on(&cols, metric, &mut scratch))
                     .collect();
                 black_box(
                     groups
@@ -264,13 +230,9 @@ fn emit_gp_json(_c: &mut Criterion) {
             "  \"quick\": {quick},\n",
             "  \"population\": {pop},\n",
             "  \"rows\": {rows},\n",
-            "  \"threads\": {threads},\n",
             "  \"recursive_evals_per_sec\": {recursive:.0},\n",
             "  \"compiled_evals_per_sec\": {compiled:.0},\n",
             "  \"compiled_speedup\": {cs:.2},\n",
-            "  \"pool_1_thread_evals_per_sec\": {par1:.0},\n",
-            "  \"pool_n_threads_evals_per_sec\": {parn:.0},\n",
-            "  \"thread_speedup\": {ts:.2},\n",
             "  \"superinstruction_speedup\": {ss:.2},\n",
             "  \"dedup_duplicate_share\": {ds:.2},\n",
             "  \"dedup_speedup\": {dds:.2}\n",
@@ -279,13 +241,9 @@ fn emit_gp_json(_c: &mut Criterion) {
         quick = quick,
         pop = pop.len(),
         rows = data.len(),
-        threads = n_threads,
         recursive = recursive,
         compiled = compiled,
         cs = compiled / recursive,
-        par1 = par1,
-        parn = parn,
-        ts = parn / par1,
         ss = fused_rate / unfused_rate,
         ds = dup_share,
         dds = with_dedup / no_dedup,
@@ -295,10 +253,9 @@ fn emit_gp_json(_c: &mut Criterion) {
     });
     std::fs::write(&path, &json).expect("write BENCH_gp.json");
     println!(
-        "gp scoring: compiled {:.1}x vs recursive, {n_threads}-thread pool {:.2}x vs 1, \
-         superinstructions {:.2}x, dedup {:.2}x at {dup_share:.0}% duplicates — wrote {path}",
+        "gp scoring: compiled {:.1}x vs recursive, superinstructions {:.2}x, \
+         dedup {:.2}x at {dup_share:.0}% duplicates — wrote {path}",
         compiled / recursive,
-        parn / par1,
         fused_rate / unfused_rate,
         with_dedup / no_dedup,
         dup_share = dup_share * 100.0,

@@ -1,10 +1,24 @@
-//! Compiled expression evaluation: postfix bytecode over a value stack.
+//! Programs as flat postfix bytecode: the GP individual and its scoring
+//! form.
 //!
-//! [`Expr::eval`](crate::Expr::eval) walks a pointer tree — every node is a
-//! separate heap allocation, so a population-scale fitness pass spends most
-//! of its time in call overhead and cache misses. [`CompiledExpr`] flattens
-//! the tree once into a postfix [`Op`] program stored in one contiguous
-//! `Vec`, then evaluates it with a tight interpreter loop.
+//! A [`Genome`] is what the engine breeds: an expression stored as one
+//! contiguous `Vec` of the four plain postfix [`Op`]s, one op per tree
+//! node, as gplearn stores its programs as flat lists. A subtree is a
+//! contiguous slice, so crossover and subtree/hoist mutation are slice
+//! splices, point mutation and constant polishing edit ops in place,
+//! size is the length and depth one stack scan. The random generators
+//! emit postfix directly. [`Expr`] trees appear only at the edges: the
+//! residual refit, simplification and display of the winner, and the
+//! tests' oracle.
+//!
+//! A [`CompiledExpr`] is what the engine scores: the genome's ops after a
+//! peephole pass ([`Genome::compile`]) that fuses the most common postfix
+//! adjacencies into single *superinstructions*: `Var Var Bin`,
+//! `Var Const Bin`, `Const Var Bin`, `… Var Bin`, `… Const Bin`, and
+//! `Var Unary` each become one [`Op`]. GP trees are leaf-heavy, so fusion
+//! typically removes 40–60% of the dispatched ops, and a fused op reads
+//! its leaf operands *directly from the dataset column or an immediate*
+//! instead of first memcpying a whole column onto the value stack.
 //!
 //! Two evaluation modes are provided:
 //!
@@ -13,43 +27,31 @@
 //! * **batch** ([`CompiledExpr::error_on`]) — the whole [`Dataset`] at
 //!   once over a column-major [`Columns`] view: each op processes every
 //!   row before the next op runs, so the per-op dispatch cost is paid once
-//!   per *program step* instead of once per *row × step*, and the inner
-//!   loops are plain slice arithmetic the compiler can vectorize.
+//!   per *program step* instead of once per *row × step*.
 //!
-//! Both modes apply exactly the same protected operators in exactly the
-//! same order as the recursive walker, so results are **bit-identical** to
-//! `Expr::eval` — including NaN/∞ propagation and the protected
-//! division/log/inverse special cases. The GP engine relies on this: the
-//! compiled fast path must not perturb a single fitness comparison.
-//!
-//! # Superinstructions
-//!
-//! [`CompiledExpr::compile`] additionally runs a peephole pass that fuses
-//! the most common postfix adjacencies into single *superinstructions*:
-//! `Var Var Bin`, `Var Const Bin`, `Const Var Bin`, `… Var Bin`,
-//! `… Const Bin`, and `Var Unary` each become one [`Op`]. GP trees are
-//! leaf-heavy (every interior node has at least one leaf operand half the
-//! time), so fusion typically removes 40–60% of the dispatched ops, and —
-//! more importantly for batch mode — a fused op reads its leaf operands
-//! *directly from the dataset column or an immediate* instead of first
-//! memcpying a whole column onto the value stack. Fused evaluation calls
-//! the exact same protected [`BinaryOp::apply`]/[`UnaryOp::apply`] in the
-//! exact same order as the unfused program, so it stays bit-identical;
-//! `crates/gp/tests/properties.rs` property-tests this against the
-//! recursive walker, and [`CompiledExpr::compile_unfused`] keeps the
-//! plain program around for those tests and the
-//! `superinstruction_speedup` microbenchmark.
+//! Both modes, fused or not, apply exactly the same protected operators in
+//! exactly the same order as the recursive walker, so results are
+//! **bit-identical** to `Expr::eval` — including NaN/∞ propagation and the
+//! protected division/log/inverse special cases. The GP engine relies on
+//! this: `crates/gp/tests/properties.rs` property-tests genome-built
+//! programs, fused and unfused, against the walker.
 
+use std::ops::Range;
+
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::engine::FunctionSet;
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::{Dataset, Metric};
 
 /// One postfix instruction.
 ///
-/// The first four variants are the plain stack machine an [`Expr`]
-/// flattens to; the rest are fused superinstructions the peephole pass
-/// in [`CompiledExpr::compile`] substitutes for common adjacencies. In
+/// The first four variants are the plain stack machine a [`Genome`]
+/// holds; the rest are fused superinstructions the peephole pass in
+/// [`Genome::compile`] substitutes for common adjacencies. In
 /// the comments below, `v(i)` is input variable `i` (0.0 when out of
 /// range, matching [`Expr::eval`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -77,11 +79,221 @@ pub enum Op {
     VarUnary(UnaryOp, u32),
 }
 
-/// An [`Expr`] flattened to postfix bytecode.
+/// A GP individual: an expression as a flat postfix program of the four
+/// plain ops (`Const`/`Var`/`Unary`/`Binary`), one op per tree node.
 ///
-/// Compile once with [`CompiledExpr::compile`], evaluate many times; the
-/// program is immutable and `Sync`, so one compiled individual can be
-/// scored from several threads.
+/// Nodes are numbered in *preorder* (root, left subtree, right subtree),
+/// the numbering every tree operator draws from; [`subtrees`](Self::subtrees)
+/// maps it onto postfix ranges. Leaves keep their left-to-right order in
+/// both forms, so the `k`-th `Const` op is the tree's `k`-th constant leaf.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Genome(Vec<Op>);
+
+impl Genome {
+    /// Flattens a tree to postfix.
+    pub fn from_expr(expr: &Expr) -> Genome {
+        fn flatten(expr: &Expr, out: &mut Vec<Op>) {
+            match expr {
+                Expr::Const(c) => out.push(Op::Const(*c)),
+                Expr::Var(i) => out.push(Op::Var(*i as u32)),
+                Expr::Unary(op, a) => {
+                    flatten(a, out);
+                    out.push(Op::Unary(*op));
+                }
+                Expr::Binary(op, a, b) => {
+                    flatten(a, out);
+                    flatten(b, out);
+                    out.push(Op::Binary(*op));
+                }
+            }
+        }
+        let mut ops = Vec::with_capacity(expr.size());
+        flatten(expr, &mut ops);
+        Genome(ops)
+    }
+
+    /// Rebuilds the tree.
+    pub fn to_expr(&self) -> Expr {
+        let mut stack = Vec::new();
+        for op in &self.0 {
+            let node = match *op {
+                Op::Const(c) => Expr::Const(c),
+                Op::Var(i) => Expr::Var(i as usize),
+                Op::Unary(u) => Expr::Unary(u, Box::new(stack.pop().expect("unary operand"))),
+                Op::Binary(b) => {
+                    let rhs = stack.pop().expect("binary rhs");
+                    let lhs = stack.pop().expect("binary lhs");
+                    Expr::Binary(b, Box::new(lhs), Box::new(rhs))
+                }
+                _ => unreachable!("a genome holds plain ops only"),
+            };
+            stack.push(node);
+        }
+        stack.pop().expect("a genome is one complete tree")
+    }
+
+    /// A random tree by the *full* method: every branch reaches exactly
+    /// `depth`.
+    pub(crate) fn random_full(
+        rng: &mut StdRng,
+        depth: usize,
+        n_vars: usize,
+        functions: &FunctionSet,
+        const_range: (f64, f64),
+    ) -> Genome {
+        let mut ops = Vec::new();
+        random_node(&mut ops, rng, depth, true, n_vars, functions, const_range);
+        Genome(ops)
+    }
+
+    /// A random tree by the *grow* method: branches may stop early at
+    /// leaves.
+    pub fn random_grow(
+        rng: &mut StdRng,
+        depth: usize,
+        n_vars: usize,
+        functions: &FunctionSet,
+        const_range: (f64, f64),
+    ) -> Genome {
+        let mut ops = Vec::new();
+        random_node(&mut ops, rng, depth, false, n_vars, functions, const_range);
+        Genome(ops)
+    }
+
+    /// The program, in evaluation order.
+    pub fn ops(&self) -> &[Op] {
+        &self.0
+    }
+
+    pub(crate) fn ops_mut(&mut self) -> &mut [Op] {
+        &mut self.0
+    }
+
+    /// Number of nodes (gplearn's "length").
+    pub fn size(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Tree depth (a leaf has depth 1).
+    pub fn depth(&self) -> usize {
+        let mut stack: Vec<usize> = Vec::new();
+        for op in &self.0 {
+            let depth = match op {
+                Op::Unary(_) => stack.pop().expect("unary operand") + 1,
+                Op::Binary(_) => {
+                    let rhs = stack.pop().expect("binary rhs");
+                    stack.pop().expect("binary lhs").max(rhs) + 1
+                }
+                _ => 1,
+            };
+            stack.push(depth);
+        }
+        stack.pop().expect("a genome is one complete tree")
+    }
+
+    /// Every node's subtree as a postfix range, indexed by the node's
+    /// preorder number. Node `k`'s descendants are the entries right
+    /// after it, `subtrees()[k].len() - 1` of them.
+    pub fn subtrees(&self) -> Vec<Range<usize>> {
+        // Forward pass: where the subtree ending at each position starts.
+        let mut open = Vec::new();
+        let starts: Vec<usize> = self
+            .0
+            .iter()
+            .enumerate()
+            .map(|(end, op)| {
+                match op {
+                    Op::Unary(_) => {}
+                    Op::Binary(_) => {
+                        open.pop();
+                    }
+                    _ => open.push(end),
+                }
+                *open.last().expect("well-formed postfix")
+            })
+            .collect();
+        // Preorder walk: a node ends at `end`, its last child at
+        // `end - 1`, and a binary node's left child just before the
+        // right child starts.
+        let mut out = Vec::with_capacity(self.0.len());
+        let mut todo = vec![self.0.len() - 1];
+        while let Some(end) = todo.pop() {
+            out.push(starts[end]..end + 1);
+            match self.0[end] {
+                Op::Unary(_) => todo.push(end - 1),
+                Op::Binary(_) => todo.extend([end - 1, starts[end - 1] - 1]),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// A copy with the subtree at `at` replaced by the subtree `with`.
+    pub(crate) fn splice(&self, at: Range<usize>, with: &[Op]) -> Genome {
+        let mut ops = Vec::with_capacity(self.0.len() - at.len() + with.len());
+        ops.extend_from_slice(&self.0[..at.start]);
+        ops.extend_from_slice(with);
+        ops.extend_from_slice(&self.0[at.end..]);
+        Genome(ops)
+    }
+
+    /// Compiles for scoring, with superinstructions fused.
+    pub fn compile(&self) -> CompiledExpr {
+        let mut ops = self.0.clone();
+        fuse(&mut ops);
+        CompiledExpr::new(ops)
+    }
+
+    /// The plain one-op-per-node program, unfused. Exists for the
+    /// bit-identity tests and the `superinstruction_speedup`
+    /// microbenchmark; the engine always uses [`compile`](Self::compile).
+    pub fn compile_unfused(&self) -> CompiledExpr {
+        CompiledExpr::new(self.0.clone())
+    }
+}
+
+/// Emits one random subtree in postfix. The RNG is drawn in tree order —
+/// the node's own choice, then its left and right subtrees — and the op
+/// is pushed after its operands.
+fn random_node(
+    out: &mut Vec<Op>,
+    rng: &mut StdRng,
+    depth: usize,
+    full: bool,
+    n_vars: usize,
+    functions: &FunctionSet,
+    const_range: (f64, f64),
+) {
+    let (unary, binary) = (&functions.unary, &functions.binary);
+    let branch = depth > 1 && (full || !rng.gen_bool(0.3));
+    // Prefer binary nodes: they grow expressive power fastest.
+    if branch && !binary.is_empty() && (unary.is_empty() || rng.gen_bool(0.75)) {
+        let op = *binary.choose(rng).expect("non-empty binary set");
+        random_node(out, rng, depth - 1, full, n_vars, functions, const_range);
+        random_node(out, rng, depth - 1, full, n_vars, functions, const_range);
+        out.push(Op::Binary(op));
+    } else if branch && !unary.is_empty() {
+        let op = *unary.choose(rng).expect("non-empty unary set");
+        random_node(out, rng, depth - 1, full, n_vars, functions, const_range);
+        out.push(Op::Unary(op));
+    } else if n_vars > 0 && rng.gen_bool(0.6) {
+        // Terminals prefer a variable over a constant.
+        out.push(Op::Var(rng.gen_range(0..n_vars) as u32));
+    } else {
+        out.push(Op::Const(round3(rng.gen_range(const_range.0..=const_range.1))));
+    }
+}
+
+/// Rounds to three decimals — keeps printed formulas readable without
+/// meaningfully constraining the search.
+fn round3(v: f64) -> f64 {
+    (v * 1000.0).round() / 1000.0
+}
+
+/// A [`Genome`] compiled for scoring.
+///
+/// Compile once with [`Genome::compile`], evaluate many times; the
+/// program is immutable and `Sync`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CompiledExpr {
     ops: Vec<Op>,
@@ -89,26 +301,8 @@ pub struct CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Flattens `expr` into a postfix program and fuses superinstructions.
-    pub fn compile(expr: &Expr) -> CompiledExpr {
-        let mut ops = Vec::with_capacity(expr.size());
-        flatten(expr, &mut ops);
-        fuse(&mut ops);
-        CompiledExpr::finish(ops)
-    }
-
-    /// Flattens `expr` without the superinstruction pass — the plain
-    /// one-op-per-tree-node program. Exists for the bit-identity property
-    /// tests and the `superinstruction_speedup` microbenchmark; the
-    /// engine always uses [`compile`](Self::compile).
-    pub fn compile_unfused(expr: &Expr) -> CompiledExpr {
-        let mut ops = Vec::with_capacity(expr.size());
-        flatten(expr, &mut ops);
-        CompiledExpr::finish(ops)
-    }
-
     /// Computes the exact peak stack depth by simulating pushes/pops.
-    fn finish(ops: Vec<Op>) -> CompiledExpr {
+    fn new(ops: Vec<Op>) -> CompiledExpr {
         let mut depth = 0usize;
         let mut max_stack = 0usize;
         for op in &ops {
@@ -132,14 +326,14 @@ impl CompiledExpr {
         &self.ops
     }
 
-    /// Number of instructions. Equals the source tree's node count for an
-    /// unfused program; fusion shrinks it (each superinstruction covers
-    /// two or three nodes).
+    /// Number of instructions. Equals the genome's size for an unfused
+    /// program; fusion shrinks it (each superinstruction covers two or
+    /// three nodes).
     pub fn len(&self) -> usize {
         self.ops.len()
     }
 
-    /// Whether the program is empty (never true for a compiled tree).
+    /// Whether the program is empty (never true for a compiled genome).
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
@@ -336,22 +530,6 @@ fn metric_over_rows(metric: Metric, preds: &[f64], targets: &[f64]) -> f64 {
     }
 }
 
-fn flatten(expr: &Expr, out: &mut Vec<Op>) {
-    match expr {
-        Expr::Const(c) => out.push(Op::Const(*c)),
-        Expr::Var(i) => out.push(Op::Var(*i as u32)),
-        Expr::Unary(op, a) => {
-            flatten(a, out);
-            out.push(Op::Unary(*op));
-        }
-        Expr::Binary(op, a, b) => {
-            flatten(a, out);
-            flatten(b, out);
-            out.push(Op::Binary(*op));
-        }
-    }
-}
-
 /// The in-place peephole pass: rewrites leaf-adjacent `Binary`/`Unary`
 /// ops into fused superinstructions by inspecting the already-emitted
 /// tail of the output program.
@@ -506,8 +684,11 @@ impl BatchScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn random_genome(rng: &mut StdRng, depth: usize) -> Genome {
+        Genome::random_grow(rng, depth, 2, &FunctionSet::full(), (-10.0, 10.0))
+    }
 
     fn engine_speed() -> Expr {
         // 64*X0 + 0.25*X1
@@ -528,7 +709,7 @@ mod tests {
 
     #[test]
     fn compiles_to_postfix() {
-        let c = CompiledExpr::compile_unfused(&engine_speed());
+        let c = Genome::from_expr(&engine_speed()).compile_unfused();
         assert_eq!(c.len(), 7);
         assert_eq!(c.max_stack(), 3);
         assert_eq!(
@@ -541,7 +722,7 @@ mod tests {
     fn fuses_leaf_adjacent_superinstructions() {
         // (64*X0) + (0.25*X1): both products fuse to ConstVar; the Add's
         // operands are fused pushes, so it stays a plain Binary.
-        let c = CompiledExpr::compile(&engine_speed());
+        let c = Genome::from_expr(&engine_speed()).compile();
         assert_eq!(
             c.ops(),
             [
@@ -562,7 +743,7 @@ mod tests {
             )),
             Box::new(Expr::Var(2)),
         );
-        let c = CompiledExpr::compile(&e);
+        let c = Genome::from_expr(&e).compile();
         assert_eq!(
             c.ops(),
             [Op::VarVar(BinaryOp::Sub, 0, 1), Op::TopVar(BinaryOp::Mul, 2)]
@@ -575,7 +756,7 @@ mod tests {
             Box::new(Expr::Unary(UnaryOp::Sqrt, Box::new(Expr::Var(0)))),
             Box::new(Expr::Const(3.0)),
         );
-        let c = CompiledExpr::compile(&e);
+        let c = Genome::from_expr(&e).compile();
         assert_eq!(
             c.ops(),
             [Op::VarUnary(UnaryOp::Sqrt, 0), Op::TopConst(BinaryOp::Add, 3.0)]
@@ -595,9 +776,10 @@ mod tests {
         let mut scratch_b = BatchScratch::new();
         let mut rng = StdRng::seed_from_u64(29);
         for _ in 0..300 {
-            let e = Expr::random_grow(&mut rng, 6, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0));
-            let fused = CompiledExpr::compile(&e);
-            let plain = CompiledExpr::compile_unfused(&e);
+            let g = random_genome(&mut rng, 6);
+            let e = g.to_expr();
+            let fused = g.compile();
+            let plain = g.compile_unfused();
             assert!(fused.len() <= plain.len());
             assert!(fused.max_stack() <= plain.max_stack());
             for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
@@ -611,14 +793,14 @@ mod tests {
     #[test]
     fn scalar_eval_matches_tree() {
         let e = engine_speed();
-        let c = CompiledExpr::compile(&e);
+        let c = Genome::from_expr(&e).compile();
         let row = [26.0, 240.0];
         assert_eq!(c.eval(&row).to_bits(), e.eval(&row).to_bits());
     }
 
     #[test]
     fn out_of_range_variable_is_zero() {
-        let c = CompiledExpr::compile(&Expr::Var(5));
+        let c = Genome::from_expr(&Expr::Var(5)).compile();
         assert_eq!(c.eval(&[1.0]), 0.0);
     }
 
@@ -627,8 +809,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut stack = Vec::new();
         for _ in 0..300 {
-            let e = Expr::random_grow(&mut rng, 6, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0));
-            let c = CompiledExpr::compile(&e);
+            let g = random_genome(&mut rng, 6);
+            let e = g.to_expr();
+            let c = g.compile();
             for row in [[0.0, 0.0], [1.5, -3.0], [1e6, -1e6], [0.3, 255.0]] {
                 let a = e.eval(&row);
                 let b = c.eval_with(&row, &mut stack);
@@ -652,8 +835,9 @@ mod tests {
         let mut scratch = BatchScratch::new();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..200 {
-            let e = Expr::random_grow(&mut rng, 5, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0));
-            let c = CompiledExpr::compile(&e);
+            let g = random_genome(&mut rng, 5);
+            let e = g.to_expr();
+            let c = g.compile();
             for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
                 let want = metric.error(&e, &data);
                 let got = c.error_on(&cols, metric, &mut scratch);
@@ -671,7 +855,7 @@ mod tests {
         let e = Expr::Binary(BinaryOp::Mul, Box::new(Expr::Var(0)), Box::new(Expr::Var(0)));
         let data = Dataset::from_pairs([(1e300, 1.0), (2.0, 2.0)]).unwrap();
         let cols = Columns::from_dataset(&data);
-        let c = CompiledExpr::compile(&e);
+        let c = Genome::from_expr(&e).compile();
         assert_eq!(
             c.error_on(&cols, Metric::MeanAbsoluteError, &mut BatchScratch::new()),
             f64::INFINITY

@@ -1,25 +1,36 @@
 //! The genetic-programming engine: initialization, selection, variation,
 //! and the paper's two stopping criteria.
 //!
-//! # Performance and determinism
+//! # One program form
 //!
-//! Fitness scoring is the engine's hot loop (population × generations ×
-//! rows). Two optimizations keep it fast without perturbing a single
-//! result:
+//! Every individual is a [`Genome`], a flat postfix program, from
+//! initialization through breeding, scoring and constant polishing. The
+//! tree operators number nodes in preorder, as gplearn does, and
+//! [`Genome::subtrees`] maps that numbering onto postfix slices, so
+//! crossover and subtree/hoist mutation are slice splices. An [`Expr`]
+//! tree is built only for the residual refit and for simplifying and
+//! reporting the winner.
 //!
-//! * every individual is flattened to a [`CompiledExpr`] and scored with
-//!   the batch evaluator over a column-major [`Columns`] view — both
-//!   bit-identical to the recursive walker;
-//! * each generation is bred (all RNG draws happen here, selecting from
-//!   the previous, fully-scored generation) and then scored in one pass:
-//!   structurally identical programs are scored once, and individuals
-//!   carried over unchanged — the elite, reproduction children, and
-//!   depth-limit fallbacks — reuse their parent's cached score instead of
-//!   being re-evaluated.
+//! # Scoring and determinism
 //!
-//! Scoring is pure and draws no randomness, so a seed fixes the
-//! [`FittedModel`] bit for bit. A fit runs on the caller's thread;
-//! callers that want parallelism fan independent fits out themselves.
+//! Each generation is bred first — all RNG draws happen here, selecting
+//! from the previous, fully-scored generation — and then scored in one
+//! pass by [`SymbolicRegressor::score_pending`]. Two mechanisms avoid
+//! re-scoring a program:
+//!
+//! * the *fitness cache*: individuals carried over unchanged — the elite,
+//!   reproduction children, and depth-limit fallbacks — reuse their
+//!   parent's score (`gp.fitness_cache_hits`);
+//! * *dedup*: the remaining genomes are grouped by structure
+//!   ([`crate::dedup`]), and one representative per group is compiled
+//!   to a fused [`CompiledExpr`](crate::CompiledExpr) and batch-evaluated
+//!   over the column-major [`Columns`] view (`gp.dedup_hits`,
+//!   `gp.dedup_distinct`).
+//!
+//! Scoring is bit-identical to the recursive walker and draws no
+//! randomness, so a seed fixes the [`FittedModel`] bit for bit. A fit
+//! runs on the caller's thread; callers that want parallelism fan
+//! independent fits out themselves.
 
 use std::time::Instant;
 
@@ -28,7 +39,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::compile::{BatchScratch, Columns, CompiledExpr};
+use crate::compile::{BatchScratch, Columns, Genome, Op};
 use crate::expr::{BinaryOp, Expr, UnaryOp};
 use crate::model::FittedModel;
 use crate::scaling::ScalePlan;
@@ -169,7 +180,7 @@ pub struct GpReport {
 }
 
 struct Individual {
-    expr: Expr,
+    genome: Genome,
     /// Raw metric error in scaled space (no parsimony).
     error: f64,
     /// Selection fitness: error plus parsimony penalty.
@@ -360,25 +371,30 @@ impl SymbolicRegressor {
         // a pure low-order candidate raced against the GP winner.
         if self.config.refit {
             dpr_telemetry::counter("gp.refit_attempts").inc(1);
-            if let Some(corrected) = crate::refit::residual_refit(&best.expr, &scaled, self.config.metric) {
+            let winner = best.genome.to_expr();
+            if let Some(corrected) =
+                crate::refit::residual_refit(&winner, &scaled, self.config.metric)
+            {
+                let corrected = Genome::from_expr(&corrected);
                 let (error, fitness) = self.evaluate(&corrected, &cols, &mut scratch, &mut evaluations);
                 if error < best.error {
                     if lineage_on {
                         post_step(&mut steps, "refit-residual", best.error);
                     }
-                    best.expr = corrected;
+                    best.genome = corrected;
                     best.error = error;
                     best.fitness = fitness;
                     dpr_telemetry::counter("gp.refit_applied").inc(1);
                 }
             }
             if let Some(candidate) = crate::refit::loworder_candidate(&scaled) {
+                let candidate = Genome::from_expr(&candidate);
                 let (error, fitness) = self.evaluate(&candidate, &cols, &mut scratch, &mut evaluations);
                 if error < best.error {
                     if lineage_on {
                         post_step(&mut steps, "refit-loworder", best.error);
                     }
-                    best.expr = candidate;
+                    best.genome = candidate;
                     best.error = error;
                     best.fitness = fitness;
                     dpr_telemetry::counter("gp.refit_applied").inc(1);
@@ -393,7 +409,7 @@ impl SymbolicRegressor {
             }
         }
 
-        let expr = best.expr.simplify();
+        let expr = best.genome.to_expr().simplify();
         let model = FittedModel {
             expr,
             plan,
@@ -445,32 +461,36 @@ impl SymbolicRegressor {
         }
     }
 
-    /// Scores one expression: compile, batch-evaluate, apply the parsimony
+    /// Scores one genome: compile, batch-evaluate, apply the parsimony
     /// penalty. Used by the sequential tail (polish, refit) — population
     /// scoring goes through [`Self::score_pending`].
     fn evaluate(
         &self,
-        expr: &Expr,
+        genome: &Genome,
         cols: &Columns,
         scratch: &mut BatchScratch,
         evaluations: &mut u64,
     ) -> (f64, f64) {
         *evaluations += cols.n_rows() as u64;
-        let error = CompiledExpr::compile(expr).error_on(cols, self.config.metric, scratch);
-        let fitness = if error.is_finite() {
-            error + self.config.parsimony * expr.size() as f64
-        } else {
-            f64::INFINITY
-        };
-        (error, fitness)
+        let error = genome.compile().error_on(cols, self.config.metric, scratch);
+        (error, self.fitness(error, genome))
     }
 
-    /// Turns bred expressions into scored individuals.
+    /// Selection fitness: the error plus the parsimony penalty.
+    fn fitness(&self, error: f64, genome: &Genome) -> f64 {
+        if error.is_finite() {
+            error + self.config.parsimony * genome.size() as f64
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    /// Turns bred genomes into scored individuals.
     ///
     /// Entries carrying a cached `(error, fitness)` — individuals the
     /// breeding phase copied over unchanged — are not re-scored. The rest
-    /// are compiled, deduplicated by compiled program structure, and each
-    /// distinct program is scored once with the fit's reusable `scratch`.
+    /// are deduplicated by structure, and each distinct genome is compiled
+    /// and scored once with the fit's reusable `scratch`.
     ///
     /// A duplicate reuses the bit-identical error its representative
     /// computed, so dedup changes cost, never results. `evaluations` stays
@@ -478,17 +498,16 @@ impl SymbolicRegressor {
     /// in `gp.dedup_hits`.
     fn score_pending(
         &self,
-        planned: Vec<(Expr, Option<(f64, f64)>)>,
+        planned: Vec<(Genome, Option<(f64, f64)>)>,
         cols: &Columns,
         scratch: &mut BatchScratch,
         evaluations: &mut u64,
         cache_hits: &mut u64,
     ) -> Vec<Individual> {
-        let pending: Vec<usize> = planned
+        let pending: Vec<&Genome> = planned
             .iter()
-            .enumerate()
-            .filter(|(_, (_, cached))| cached.is_none())
-            .map(|(i, _)| i)
+            .filter(|(_, cached)| cached.is_none())
+            .map(|(genome, _)| genome)
             .collect();
         *evaluations += (pending.len() * cols.n_rows()) as u64;
         let hits = (planned.len() - pending.len()) as u64;
@@ -497,12 +516,8 @@ impl SymbolicRegressor {
             *cache_hits += hits;
         }
 
-        let programs: Vec<CompiledExpr> = pending
-            .iter()
-            .map(|&i| CompiledExpr::compile(&planned[i].0))
-            .collect();
-        let groups = crate::dedup::group(&programs);
-        if !programs.is_empty() {
+        let groups = crate::dedup::group(&pending);
+        if !pending.is_empty() {
             dpr_telemetry::counter("gp.dedup_distinct").inc(groups.reps.len() as u64);
             if groups.hits() > 0 {
                 dpr_telemetry::counter("gp.dedup_hits").inc(groups.hits());
@@ -512,27 +527,22 @@ impl SymbolicRegressor {
         let errors: Vec<f64> = groups
             .reps
             .iter()
-            .map(|&r| programs[r].error_on(cols, metric, scratch))
+            .map(|&r| pending[r].compile().error_on(cols, metric, scratch))
             .collect();
 
-        // `pending` is in index order, so fresh scores interleave back
-        // into the cached ones by consuming the assignments in sequence.
-        let parsimony = self.config.parsimony;
-        let mut next_pending = 0usize;
+        // Pending genomes are in index order, so fresh scores interleave
+        // back into the cached ones by consuming the assignments in
+        // sequence.
+        let mut assign = groups.assign.into_iter();
         planned
             .into_iter()
-            .map(|(expr, cached)| {
+            .map(|(genome, cached)| {
                 let (error, fitness) = cached.unwrap_or_else(|| {
-                    let error = errors[groups.assign[next_pending] as usize];
-                    next_pending += 1;
-                    let fitness = if error.is_finite() {
-                        error + parsimony * expr.size() as f64
-                    } else {
-                        f64::INFINITY
-                    };
-                    (error, fitness)
+                    let class = assign.next().expect("one class per pending genome");
+                    let error = errors[class as usize];
+                    (error, self.fitness(error, &genome))
                 });
-                Individual { expr, error, fitness }
+                Individual { genome, error, fitness }
             })
             .collect()
     }
@@ -547,7 +557,7 @@ impl SymbolicRegressor {
     ) -> (Vec<Individual>, Vec<BreedRec>) {
         let n = self.config.population_size;
         let n_vars = cols.n_vars();
-        let mut exprs = Vec::with_capacity(n);
+        let mut genomes = Vec::with_capacity(n);
         let mut recs = Vec::new();
 
         // Informed template seeding (~6% of the population): affine and
@@ -557,8 +567,8 @@ impl SymbolicRegressor {
         if self.config.seeded_init {
             let templates = n / 16;
             for _ in 0..templates {
-                let expr = self.random_template(n_vars);
-                exprs.push(expr);
+                let template = self.random_template(n_vars);
+                genomes.push(Genome::from_expr(&template));
                 if lineage {
                     recs.push(BreedRec::init("seed-template"));
                 }
@@ -568,38 +578,19 @@ impl SymbolicRegressor {
         // Ramped half-and-half for the rest. Generation happens first (all
         // RNG draws); scoring follows in one pass.
         let (lo, hi) = self.config.init_depth;
-        let unary = self.config.functions.unary.clone();
-        let binary = self.config.functions.binary.clone();
+        let (functions, const_range) = (&self.config.functions, self.config.const_range);
         let mut depth = lo;
-        while exprs.len() < n {
-            let full = exprs.len() % 2 == 0;
-            let expr = if full {
-                Expr::random_full(
-                    &mut self.rng,
-                    depth,
-                    n_vars,
-                    &unary,
-                    &binary,
-                    self.config.const_range,
-                )
-            } else {
-                Expr::random_grow(
-                    &mut self.rng,
-                    depth,
-                    n_vars,
-                    &unary,
-                    &binary,
-                    self.config.const_range,
-                )
-            };
-            exprs.push(expr);
+        while genomes.len() < n {
+            let full = genomes.len() % 2 == 0;
+            let generate = if full { Genome::random_full } else { Genome::random_grow };
+            genomes.push(generate(&mut self.rng, depth, n_vars, functions, const_range));
             if lineage {
                 recs.push(BreedRec::init(if full { "init-full" } else { "init-grow" }));
             }
             depth = if depth >= hi { lo } else { depth + 1 };
         }
         let pop = self.score_pending(
-            exprs.into_iter().map(|e| (e, None)).collect(),
+            genomes.into_iter().map(|g| (g, None)).collect(),
             cols,
             scratch,
             evaluations,
@@ -663,13 +654,11 @@ impl SymbolicRegressor {
     /// via [`Self::score_pending`].
     ///
     /// Fitness-cache rule: a score is carried over only when the child is
-    /// byte-for-byte the parent expression — the elite copy, a
-    /// reproduction child, or a depth-limit fallback. Any variation
-    /// operator invalidates the cache unconditionally; the structural
-    /// dedup pass in [`Self::score_pending`] then catches variation
-    /// children that came out identical anyway (and identical siblings)
-    /// at the compiled-program level, where the comparison is a cheap
-    /// slice walk instead of a tree traversal.
+    /// a copy of the parent genome — the elite copy, a reproduction
+    /// child, or a depth-limit fallback. Any variation operator
+    /// invalidates the cache unconditionally; the structural dedup pass in
+    /// [`Self::score_pending`] then catches variation children that came
+    /// out identical anyway (and identical siblings).
     fn next_generation(
         &mut self,
         population: Vec<Individual>,
@@ -680,7 +669,7 @@ impl SymbolicRegressor {
         lineage: bool,
     ) -> (Vec<Individual>, Vec<BreedRec>) {
         let n = population.len();
-        let mut planned: Vec<(Expr, Option<(f64, f64)>)> = Vec::with_capacity(n);
+        let mut planned: Vec<(Genome, Option<(f64, f64)>)> = Vec::with_capacity(n);
         let mut recs = Vec::new();
 
         // Elitism: the best individual survives unchanged, score and all.
@@ -691,7 +680,7 @@ impl SymbolicRegressor {
             .map(|(i, _)| i)
             .expect("population is non-empty");
         planned.push((
-            population[elite_idx].expr.clone(),
+            population[elite_idx].genome.clone(),
             Some((population[elite_idx].error, population[elite_idx].fitness)),
         ));
         if lineage {
@@ -716,23 +705,23 @@ impl SymbolicRegressor {
             let picked_idx = self.tournament(&population);
             let picked = &population[picked_idx];
             let parent_score = (picked.error, picked.fitness);
-            let parent = picked.expr.clone();
+            let parent = &picked.genome;
             let (child, cached, op, donor_idx) = if roll < p_cx {
                 let donor_idx = self.tournament(&population);
-                let donor = population[donor_idx].expr.clone();
-                (self.crossover(&parent, &donor), None, "crossover", Some(donor_idx))
+                let donor = &population[donor_idx].genome;
+                (self.crossover(parent, donor), None, "crossover", Some(donor_idx))
             } else if roll < p_cx + p_sub {
-                (self.subtree_mutation(&parent, n_vars), None, "subtree-mutation", None)
+                (self.subtree_mutation(parent, n_vars), None, "subtree-mutation", None)
             } else if roll < p_cx + p_sub + p_hoist {
-                (self.hoist_mutation(&parent), None, "hoist-mutation", None)
+                (self.hoist_mutation(parent), None, "hoist-mutation", None)
             } else if roll < p_cx + p_sub + p_hoist + p_point {
-                (self.point_mutation(&parent, n_vars), None, "point-mutation", None)
+                (self.point_mutation(parent, n_vars), None, "point-mutation", None)
             } else {
                 // Reproduction: the child IS the parent — reuse its score.
                 (parent.clone(), Some(parent_score), "reproduction", None)
             };
             let (child, cached, op) = if child.depth() > max_depth {
-                (parent, Some(parent_score), "depth-fallback")
+                (parent.clone(), Some(parent_score), "depth-fallback")
             } else {
                 (child, cached, op)
             };
@@ -752,58 +741,47 @@ impl SymbolicRegressor {
 
     /// Subtree crossover: replace a random node of `recipient` with a
     /// random subtree of `donor`.
-    fn crossover(&mut self, recipient: &Expr, donor: &Expr) -> Expr {
-        let mut child = recipient.clone();
-        let at = self.rng.gen_range(0..child.size());
+    fn crossover(&mut self, recipient: &Genome, donor: &Genome) -> Genome {
+        let at = self.rng.gen_range(0..recipient.size());
         let from = self.rng.gen_range(0..donor.size());
-        *child.node_mut(at) = donor.node(from).clone();
-        child
+        let graft = &donor.ops()[donor.subtrees()[from].clone()];
+        recipient.splice(recipient.subtrees()[at].clone(), graft)
     }
 
     /// Subtree mutation: replace a random node with a fresh grown tree.
-    fn subtree_mutation(&mut self, parent: &Expr, n_vars: usize) -> Expr {
-        let mut child = parent.clone();
-        let at = self.rng.gen_range(0..child.size());
-        let unary = self.config.functions.unary.clone();
-        let binary = self.config.functions.binary.clone();
-        let fresh = Expr::random_grow(
+    fn subtree_mutation(&mut self, parent: &Genome, n_vars: usize) -> Genome {
+        let at = self.rng.gen_range(0..parent.size());
+        let fresh = Genome::random_grow(
             &mut self.rng,
             3,
             n_vars,
-            &unary,
-            &binary,
+            &self.config.functions,
             self.config.const_range,
         );
-        *child.node_mut(at) = fresh;
-        child
+        parent.splice(parent.subtrees()[at].clone(), fresh.ops())
     }
 
     /// Hoist mutation: replace a random node with one of its own subtrees,
     /// shrinking the individual (bloat control).
-    fn hoist_mutation(&mut self, parent: &Expr) -> Expr {
-        let mut child = parent.clone();
-        let at = self.rng.gen_range(0..child.size());
-        let node = child.node(at).clone();
-        let inner_at = self.rng.gen_range(0..node.size());
-        let hoisted = node.node(inner_at).clone();
-        *child.node_mut(at) = hoisted;
-        child
+    fn hoist_mutation(&mut self, parent: &Genome) -> Genome {
+        let subtrees = parent.subtrees();
+        let at = self.rng.gen_range(0..parent.size());
+        // A node's descendants follow it in preorder.
+        let inner_at = at + self.rng.gen_range(0..subtrees[at].len());
+        parent.splice(subtrees[at].clone(), &parent.ops()[subtrees[inner_at].clone()])
     }
 
     /// Point mutation: independently perturb constants and swap operators
-    /// or variables at ~15% of nodes.
-    fn point_mutation(&mut self, parent: &Expr, n_vars: usize) -> Expr {
+    /// or variables at ~15% of nodes, visited in preorder.
+    fn point_mutation(&mut self, parent: &Genome, n_vars: usize) -> Genome {
         let mut child = parent.clone();
-        let size = child.size();
-        let unary = self.config.functions.unary.clone();
-        let binary = self.config.functions.binary.clone();
-        for idx in 0..size {
+        let FunctionSet { unary, binary } = &self.config.functions;
+        for node in parent.subtrees() {
             if !self.rng.gen_bool(0.15) {
                 continue;
             }
-            let node = child.node_mut(idx);
-            match node {
-                Expr::Const(v) => {
+            match &mut child.ops_mut()[node.end - 1] {
+                Op::Const(v) => {
                     // Mix multiplicative and additive perturbations so both
                     // large and near-zero constants can move.
                     if self.rng.gen_bool(0.5) {
@@ -812,21 +790,22 @@ impl SymbolicRegressor {
                         *v += self.rng.gen_range(-0.5..0.5);
                     }
                 }
-                Expr::Var(i) => {
+                Op::Var(i) => {
                     if n_vars > 1 {
-                        *i = self.rng.gen_range(0..n_vars);
+                        *i = self.rng.gen_range(0..n_vars) as u32;
                     }
                 }
-                Expr::Unary(op, _) => {
+                Op::Unary(op) => {
                     if let Some(new_op) = unary.choose(&mut self.rng) {
                         *op = *new_op;
                     }
                 }
-                Expr::Binary(op, _, _) => {
+                Op::Binary(op) => {
                     if let Some(new_op) = binary.choose(&mut self.rng) {
                         *op = *new_op;
                     }
                 }
+                _ => unreachable!("a genome holds plain ops only"),
             }
         }
         child
@@ -844,19 +823,21 @@ impl SymbolicRegressor {
         if self.config.polish_iters == 0 {
             return;
         }
-        let n_consts = best.expr.clone().constants_mut().len();
-        if n_consts == 0 {
+        // Postfix keeps the tree's leaf order, so these are the constant
+        // leaves in the order the tree walk numbered them.
+        let consts: Vec<usize> = (0..best.genome.size())
+            .filter(|&i| matches!(best.genome.ops()[i], Op::Const(_)))
+            .collect();
+        if consts.is_empty() {
             return;
         }
         for iter in 0..self.config.polish_iters {
             // Annealed step size: start coarse, end fine.
             let t = iter as f64 / self.config.polish_iters as f64;
             let sigma = 0.25 * (1.0 - t) + 0.002;
-            let mut candidate = best.expr.clone();
-            {
-                let mut consts = candidate.constants_mut();
-                let which = self.rng.gen_range(0..consts.len());
-                let c = &mut *consts[which];
+            let mut candidate = best.genome.clone();
+            let which = consts[self.rng.gen_range(0..consts.len())];
+            if let Op::Const(c) = &mut candidate.ops_mut()[which] {
                 if self.rng.gen_bool(0.5) {
                     *c *= 1.0 + self.rng.gen_range(-sigma..sigma);
                 } else {
@@ -865,7 +846,7 @@ impl SymbolicRegressor {
             }
             let (error, fitness) = self.evaluate(&candidate, cols, scratch, evaluations);
             if error < best.error {
-                best.expr = candidate;
+                best.genome = candidate;
                 best.error = error;
                 best.fitness = fitness;
             }

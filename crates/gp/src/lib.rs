@@ -6,10 +6,10 @@
 //! §3.5, Step 2). It reimplements, from scratch, everything the paper used
 //! from the gplearn library plus the paper's own additions:
 //!
-//! * [`Expr`] syntax trees over a **14-function set** (§6: addition,
-//!   subtraction, multiplication, division, square root, log, absolute
-//!   value, negation, maximum, minimum, sine, cosine, tangent, inverse),
-//!   with *protected* versions of the partial functions;
+//! * expressions over a **14-function set** (§6: addition, subtraction,
+//!   multiplication, division, square root, log, absolute value,
+//!   negation, maximum, minimum, sine, cosine, tangent, inverse), with
+//!   *protected* versions of the partial functions;
 //! * ramped half-and-half initialization, tournament selection, subtree
 //!   crossover, and subtree/hoist/point mutation in [`SymbolicRegressor`];
 //! * both of the paper's stopping criteria — generation budget and fitness
@@ -20,13 +20,15 @@
 //! * a constant-polishing hill climb that refines numeric leaves of the
 //!   winning expression (the GP analogue of gplearn's final tuning).
 //!
-//! Fitness scoring — the dominant cost at the paper's 1000 × 30 budget —
-//! runs through [`CompiledExpr`], a postfix-bytecode compilation of the
-//! expression tree evaluated batch-wise over the whole data set, with
-//! structurally identical programs scored once ([`dedup`]). Both are
-//! bit-identical to the naive recursive evaluation: all randomness stays
-//! in the breeding phase, so the same seed yields the same
-//! [`FittedModel`].
+//! Every individual is a [`Genome`]: a flat postfix program, bred with
+//! slice splices the way gplearn breeds its flat program lists. Fitness
+//! scoring — the dominant cost at the paper's 1000 × 30 budget — compiles
+//! each structurally distinct genome ([`dedup`]) to a fused
+//! [`CompiledExpr`] evaluated batch-wise over the whole data set. An
+//! [`Expr`] tree is built only to refit, simplify and display the winner.
+//! Scoring is bit-identical to the naive recursive evaluation and all
+//! randomness stays in the breeding phase, so the same seed yields the
+//! same [`FittedModel`].
 //!
 //! # Example
 //!
@@ -58,7 +60,7 @@ mod model;
 mod refit;
 pub mod scaling;
 
-pub use compile::{BatchScratch, Columns, CompiledExpr};
+pub use compile::{BatchScratch, Columns, CompiledExpr, Genome};
 pub use dataset::{Dataset, DatasetError};
 pub use engine::{FunctionSet, GpConfig, GpReport, SymbolicRegressor};
 pub use expr::{BinaryOp, Expr, UnaryOp};

@@ -1,23 +1,51 @@
 //! Property-based tests for the GP engine's invariants.
 
-use dpr_gp::compile::{BatchScratch, Columns, CompiledExpr};
-use dpr_gp::expr::{BinaryOp, Expr, UnaryOp};
+use dpr_gp::compile::{BatchScratch, Columns, Genome, Op};
+use dpr_gp::expr::{BinaryOp, Expr};
 use dpr_gp::scaling::{table2_factor, ScalePlan};
-use dpr_gp::{Dataset, GpConfig, Metric, SymbolicRegressor};
+use dpr_gp::{Dataset, FunctionSet, GpConfig, Metric, SymbolicRegressor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn arb_expr(seed: u64, depth: usize) -> Expr {
+fn arb_genome(seed: u64, depth: usize) -> Genome {
     let mut rng = StdRng::seed_from_u64(seed);
-    Expr::random_grow(
-        &mut rng,
-        depth,
-        2,
-        &UnaryOp::ALL,
-        &BinaryOp::ALL,
-        (-10.0, 10.0),
-    )
+    Genome::random_grow(&mut rng, depth, 2, &FunctionSet::full(), (-10.0, 10.0))
+}
+
+fn arb_expr(seed: u64, depth: usize) -> Expr {
+    arb_genome(seed, depth).to_expr()
+}
+
+/// The tree oracle for node numbering: the `k`-th node in preorder,
+/// found by a plain recursive walk.
+fn preorder_node(e: &Expr, k: usize) -> &Expr {
+    fn walk<'a>(e: &'a Expr, k: &mut usize) -> Option<&'a Expr> {
+        if *k == 0 {
+            return Some(e);
+        }
+        *k -= 1;
+        match e {
+            Expr::Const(_) | Expr::Var(_) => None,
+            Expr::Unary(_, a) => walk(a, k),
+            Expr::Binary(_, a, b) => walk(a, k).or_else(|| walk(b, k)),
+        }
+    }
+    let mut k = k;
+    walk(e, &mut k).expect("index within tree size")
+}
+
+/// The tree oracle for leaf order: constant leaves, left to right.
+fn tree_constants(e: &Expr, out: &mut Vec<u64>) {
+    match e {
+        Expr::Const(c) => out.push(c.to_bits()),
+        Expr::Var(_) => {}
+        Expr::Unary(_, a) => tree_constants(a, out),
+        Expr::Binary(_, a, b) => {
+            tree_constants(a, out);
+            tree_constants(b, out);
+        }
+    }
 }
 
 proptest! {
@@ -93,6 +121,54 @@ proptest! {
         prop_assert!((raw - manual).abs() < 1e-9 * manual.abs().max(1.0));
     }
 
+    /// Genome→`Expr` and `Expr`→genome (flatten) are inverse; size and
+    /// depth agree with the tree's.
+    #[test]
+    fn genome_round_trips_through_the_tree(seed in any::<u64>(), depth in 1usize..=7) {
+        let g = arb_genome(seed, depth);
+        let e = g.to_expr();
+        prop_assert_eq!(&Genome::from_expr(&e), &g);
+        prop_assert_eq!(g.size(), e.size());
+        prop_assert_eq!(g.depth(), e.depth());
+    }
+
+    /// Every preorder node index maps to the postfix slice that is the
+    /// flattened `k`-th node of the tree, and each node's descendants
+    /// follow it in the preorder list.
+    #[test]
+    fn subtrees_are_the_flattened_preorder_nodes(seed in any::<u64>(), depth in 1usize..=7) {
+        let g = arb_genome(seed, depth);
+        let e = g.to_expr();
+        let subtrees = g.subtrees();
+        prop_assert_eq!(subtrees.len(), e.size());
+        for (k, range) in subtrees.iter().enumerate() {
+            let node = preorder_node(&e, k);
+            prop_assert_eq!(&g.ops()[range.clone()], Genome::from_expr(node).ops(), "node {}", k);
+            prop_assert_eq!(range.len(), node.size());
+            for inner in &subtrees[k..k + range.len()] {
+                prop_assert!(range.start <= inner.start && inner.end <= range.end);
+            }
+        }
+    }
+
+    /// `Const` ops appear in the tree's left-to-right leaf order, so the
+    /// `k`-th constant position is the `k`-th constant leaf.
+    #[test]
+    fn genome_constants_follow_tree_leaf_order(seed in any::<u64>(), depth in 1usize..=7) {
+        let g = arb_genome(seed, depth);
+        let mut want = Vec::new();
+        tree_constants(&g.to_expr(), &mut want);
+        let got: Vec<u64> = g
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                Op::Const(c) => Some(c.to_bits()),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+
     /// Compiled (postfix-bytecode) evaluation is bit-identical to the
     /// recursive tree walker on random trees over random inputs —
     /// including NaN/∞ inputs, so the protected division/log/inverse
@@ -105,8 +181,9 @@ proptest! {
         x1 in -1e6f64..1e6,
         special in 0u8..6,
     ) {
-        let e = arb_expr(seed, depth);
-        let c = CompiledExpr::compile(&e);
+        let g = arb_genome(seed, depth);
+        let e = g.to_expr();
+        let c = g.compile();
         // Mix plain finite rows with rows exercising NaN/∞ propagation and
         // the protected div-by-zero / log(0) / inv(0) branches.
         let row: [f64; 2] = match special {
@@ -124,24 +201,25 @@ proptest! {
             "{e} on {row:?}: {a:?} ({:#x}) vs {b:?} ({:#x})", a.to_bits(), b.to_bits()
         );
         // Unfused bytecode is one op per tree node; fusion only shrinks.
-        prop_assert_eq!(CompiledExpr::compile_unfused(&e).len(), e.size());
+        prop_assert_eq!(g.compile_unfused().len(), e.size());
         prop_assert!(c.len() <= e.size());
     }
 
-    /// The batch (column-wise) error path returns exactly what
-    /// `Metric::error` computes with the recursive evaluator.
+    /// The batch (column-wise) error of a genome-built program is exactly
+    /// what `Metric::error` computes with the recursive evaluator.
     #[test]
     fn compiled_batch_error_matches_metric(
         seed in any::<u64>(),
         rows in proptest::collection::vec((-1e4f64..1e4, -1e4f64..1e4, -1e4f64..1e4), 1..40),
     ) {
-        let e = arb_expr(seed, 6);
+        let g = arb_genome(seed, 6);
+        let e = g.to_expr();
         let data = Dataset::new(
             rows.iter().map(|(x0, x1, _)| vec![*x0, *x1]).collect(),
             rows.iter().map(|(_, _, y)| *y).collect(),
         ).unwrap();
         let cols = Columns::from_dataset(&data);
-        let compiled = CompiledExpr::compile(&e);
+        let compiled = g.compile();
         let mut scratch = BatchScratch::new();
         for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
             let want = metric.error(&e, &data);
@@ -165,14 +243,15 @@ proptest! {
         depth in 1usize..=7,
         rows in proptest::collection::vec((-1e300f64..1e300, -1e300f64..1e300, -1e4f64..1e4), 1..24),
     ) {
-        let e = arb_expr(seed, depth);
+        let g = arb_genome(seed, depth);
+        let e = g.to_expr();
         let data = Dataset::new(
             rows.iter().map(|(x0, x1, _)| vec![*x0, *x1]).collect(),
             rows.iter().map(|(_, _, y)| *y).collect(),
         ).unwrap();
         let cols = Columns::from_dataset(&data);
-        let fused = CompiledExpr::compile(&e);
-        let unfused = CompiledExpr::compile_unfused(&e);
+        let fused = g.compile();
+        let unfused = g.compile_unfused();
         prop_assert!(fused.ops().len() <= unfused.ops().len(), "fusion must not grow programs");
         let mut scratch = BatchScratch::new();
         for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
@@ -196,19 +275,15 @@ proptest! {
         rows in proptest::collection::vec((-1e4f64..1e4, -1e4f64..1e4, -1e4f64..1e4), 1..16),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let exprs: Vec<Expr> = (0..n)
-            .map(|_| Expr::random_grow(&mut rng, 4, 2, &UnaryOp::ALL, &BinaryOp::ALL, (-10.0, 10.0)))
+        let base: Vec<Genome> = (0..n)
+            .map(|_| Genome::random_grow(&mut rng, 4, 2, &FunctionSet::full(), (-10.0, 10.0)))
             .collect();
-        // Population with duplicates: every program appears twice.
-        let programs: Vec<CompiledExpr> = exprs
-            .iter()
-            .chain(exprs.iter())
-            .map(CompiledExpr::compile)
-            .collect();
-        let groups = dpr_gp::dedup::group(&programs);
-        prop_assert!(groups.reps.len() <= exprs.len());
-        prop_assert_eq!(groups.hits(), (programs.len() - groups.reps.len()) as u64);
-        prop_assert!(groups.hits() >= exprs.len() as u64, "each clone must hit its twin's class");
+        // Population with duplicates: every genome appears twice.
+        let genomes: Vec<&Genome> = base.iter().chain(&base).collect();
+        let groups = dpr_gp::dedup::group(&genomes);
+        prop_assert!(groups.reps.len() <= base.len());
+        prop_assert_eq!(groups.hits(), (genomes.len() - groups.reps.len()) as u64);
+        prop_assert!(groups.hits() >= base.len() as u64, "each clone must hit its twin's class");
 
         let data = Dataset::new(
             rows.iter().map(|(x0, x1, _)| vec![*x0, *x1]).collect(),
@@ -217,10 +292,10 @@ proptest! {
         let cols = Columns::from_dataset(&data);
         let mut scratch = BatchScratch::new();
         let metric = Metric::MeanAbsoluteError;
-        for (i, program) in programs.iter().enumerate() {
-            let rep = &programs[groups.reps[groups.assign[i] as usize]];
-            let own = program.error_on(&cols, metric, &mut scratch);
-            let reused = rep.error_on(&cols, metric, &mut scratch);
+        for (i, genome) in genomes.iter().enumerate() {
+            let rep = genomes[groups.reps[groups.assign[i] as usize]];
+            let own = genome.compile().error_on(&cols, metric, &mut scratch);
+            let reused = rep.compile().error_on(&cols, metric, &mut scratch);
             prop_assert!(
                 own.to_bits() == reused.to_bits(),
                 "program {i}: own score {own:?} vs representative's {reused:?}"

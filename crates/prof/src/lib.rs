@@ -5,8 +5,8 @@
 //! chunk-wait / idle accounting, chunk geometry, spin-up and teardown
 //! cost), and this crate aggregates them into a process-wide store that
 //! the observability stack reads back out — `GET /profile` on the
-//! metrics server, utilization counter tracks in the Chrome trace
-//! export, and the textual pool report in `dpr-bench profile`.
+//! metrics server and utilization counter tracks in the Chrome trace
+//! export.
 //!
 //! # Accounting model
 //!
@@ -50,10 +50,8 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-mod report;
 mod store;
 
-pub use report::{render_report, PoolReport};
 pub use store::{
     record_call, reset, snapshot, CallProfile, LabelSummary, ProfSnapshot, WorkerStats,
 };

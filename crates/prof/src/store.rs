@@ -226,24 +226,6 @@ impl LabelSummary {
         }
     }
 
-    /// Mean imbalance across this label's calls.
-    pub fn mean_imbalance(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.imbalance_sum / self.calls as f64
-        }
-    }
-
-    /// Mean steal ratio across this label's calls.
-    pub fn mean_steal_ratio(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.steal_sum / self.calls as f64
-        }
-    }
-
     fn absorb(&mut self, call: &CallProfile) {
         self.calls += 1;
         if call.inline {
@@ -269,7 +251,7 @@ impl LabelSummary {
 
 /// A frozen view of the whole store: per-label aggregates plus the most
 /// recent calls verbatim (newest last). This is what `GET /profile`
-/// serves and what the pool report renders.
+/// serves.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProfSnapshot {
     /// Total calls ever recorded (recent ring may hold fewer).
