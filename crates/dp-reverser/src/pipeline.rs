@@ -309,7 +309,11 @@ impl DpReverser {
         esvs.sort_by_key(|e| e.key);
 
         // ——— ECR recovery ———
-        let ecrs = tracer.stage("ecr", || recover_ecrs(&capture.extraction, execution));
+        let ecrs = tracer.stage("ecr", || {
+            let _span = dpr_telemetry::Span::enter("ecr");
+            recover_ecrs(&capture.extraction, execution)
+        });
+        stage_done("ecr");
 
         // Join keys for evidence assembly: which association indices fed
         // each recovered sensor.

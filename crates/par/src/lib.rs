@@ -1,6 +1,6 @@
 //! Deterministic data parallelism for the DP-Reverser stack.
 //!
-//! A std-only chunked thread pool with a rayon-shaped [`par_map`] API.
+//! A std-only chunked fork-join with a rayon-shaped [`par_map`] API.
 //! The design goal is *bit-identical outputs regardless of thread
 //! count*: inputs are split into fixed, index-ordered chunks, workers pull
 //! chunks off an atomic cursor, and results are reassembled in input order
@@ -10,24 +10,17 @@
 //! independent work (e.g. one analysis per car in `dpr-bench`) across
 //! threads without perturbing a single result.
 //!
-//! # The persistent pool
+//! # Scoped fan-out
 //!
-//! Workers are spawned once per process (lazily, up to the largest
-//! worker count any call has asked for) and parked on a condvar between
-//! calls; each `par_map` publishes one job, **joins it as worker 0 on
-//! the submitting thread**, and reassembles the results once the pool
-//! threads (slots 1..N) have drained their share. Caller participation
-//! is what makes small jobs safe: the already-running submitter starts
-//! claiming chunks immediately, so wake-up latency overlaps useful work
-//! and a call can never be slower than running inline by more than the
-//! join cost. The `par.pool_spawns` counter records exactly how many
-//! threads a call actually created (0 once the pool is warm). Because the
-//! caller blocks until the job completes, borrowed inputs work without
-//! `'static` bounds and a panic in any worker propagates to the caller.
-//!
-//! Nested calls (a mapped function calling `par_map` again) run inline
-//! on the worker thread: the pool has one job slot, so re-entering it
-//! from a worker would deadlock.
+//! Each `par_map` call spawns `workers - 1` threads inside a
+//! [`std::thread::scope`] and **takes worker slot 0 on the calling
+//! thread**, so the caller starts claiming chunks while its siblings
+//! spin up. The scope joins every worker before the call returns, so
+//! borrowed inputs work without `'static` bounds, a panic in any worker
+//! propagates to the caller with its original payload, and nested or
+//! concurrent calls each get their own threads. The work this crate
+//! fans out (one car's analysis per item) runs for hundreds of
+//! milliseconds, so a thread spawn per call is noise next to it.
 //!
 //! # Thread-count resolution
 //!
@@ -46,7 +39,7 @@
 //!
 //! Workers are named `gp-worker-N` and run inside the caller's scoped
 //! telemetry registry, log context and span stack (all thread-local, so
-//! the pool re-enters them on each job). Every claimed chunk is timed
+//! each spawned thread re-enters them). Every claimed chunk is timed
 //! under a `par.chunk` span nested under the caller's open spans — on
 //! the inline path too — so a span's path never depends on which thread
 //! ran it or how many threads there were. Metrics recorded by the mapped
@@ -54,7 +47,7 @@
 //! global one.
 //!
 //! Every call additionally records a `dpr_prof::CallProfile` — per-worker
-//! busy/wait/idle microseconds, chunk geometry, spin-up and teardown
+//! busy/wait/idle microseconds, chunk geometry, thread spawn and join
 //! latency — into the process-wide profile store, and emits `par.*`
 //! metrics (see the DESIGN.md taxonomy) into the caller's registry.
 //! Allocation attribution rides along when `DPR_PROF=1` and the binary
@@ -69,14 +62,12 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod pool;
 
 use dpr_prof::{CallProfile, WorkerStats};
-use std::sync::atomic::AtomicUsize;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The environment variable overriding the worker-thread count.
@@ -98,13 +89,13 @@ pub fn threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A chunked fork-join facade over the process-wide persistent pool.
+/// A chunked fork-join over scoped threads.
 ///
-/// The pool handle is a configuration object (just a worker count); the
-/// live `gp-worker-N` threads are process-wide and shared by every
-/// handle. Each [`par_map`](Pool::par_map) call publishes one job and
-/// joins it before returning, so borrowed inputs work without `'static`
-/// bounds and a panic in any worker propagates to the caller.
+/// The pool handle is a configuration object (just a worker count).
+/// Each [`par_map`](Pool::par_map) call spawns its own `gp-worker-N`
+/// threads and joins them before returning, so borrowed inputs work
+/// without `'static` bounds and a panic in any worker propagates to the
+/// caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -138,68 +129,24 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        self.par_map_init(items, || (), |(), item| f(item))
-    }
-
-    /// Like [`par_map`](Pool::par_map), but hands each worker a private
-    /// scratch state built by `init` (rayon's `map_init` shape). `init`
-    /// runs once per worker per call, so per-item allocation (evaluation
-    /// stacks, buffers) is amortized across the worker's whole share of
-    /// the input.
-    ///
-    /// The state must not influence results (it is scratch, not an
-    /// accumulator) or determinism across thread counts is lost.
-    pub fn par_map_init<T, S, R, FI, F>(&self, items: &[T], init: FI, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        FI: Fn() -> S + Sync,
-        F: Fn(&mut S, &T) -> R + Sync,
-    {
         // Sync the profiling gate (and the allocator's counting flag)
         // once per call, mirroring how DPR_THREADS is re-read per call.
         let prof_on = dpr_prof::refresh();
         let started = Instant::now();
         let n = items.len();
         let workers = self.threads.min(n);
-        if workers <= 1 || pool::in_worker() {
-            return run_inline(items, init, f, started, n);
+        if workers <= 1 {
+            return run_inline(items, f, started);
         }
 
         // Chunks several times smaller than a worker's fair share keep the
-        // pool load-balanced when item costs vary (GP trees differ wildly
+        // workers load-balanced when item costs vary (cars differ wildly
         // in size) without paying cursor contention per item.
         let chunk = n.div_ceil(workers * 4).max(1);
         let n_chunks = n.div_ceil(chunk);
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Vec<R>>>> =
-            Mutex::new((0..n_chunks).map(|_| None).collect());
-        let raw_stats: Mutex<Vec<pool::RawWorker>> =
-            Mutex::new(vec![pool::RawWorker::default(); workers]);
+        let mut outcome = pool::run(items, &f, chunk, n_chunks, workers, started);
 
-        let ctx = pool::Ctx {
-            items,
-            init: &init,
-            f: &f,
-            chunk,
-            n_chunks,
-            cursor: &cursor,
-            slots: &slots,
-            stats: &raw_stats,
-            started,
-            _state: std::marker::PhantomData,
-        };
-        let outcome = pool::run_job(&ctx, workers);
-
-        let profile = finalize_profile(
-            started,
-            n,
-            chunk,
-            n_chunks,
-            &outcome,
-            raw_stats.into_inner().unwrap_or_else(|e| e.into_inner()),
-            prof_on,
-        );
+        let profile = finalize_profile(started, n, chunk, n_chunks, &outcome.workers, prof_on);
         emit_call_metrics(&profile, prof_on);
         dpr_prof::record_call(profile, started);
 
@@ -207,11 +154,11 @@ impl Pool {
             std::panic::resume_unwind(payload);
         }
 
-        slots
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
+        outcome.chunks.sort_unstable_by_key(|(c, _)| *c);
+        outcome
+            .chunks
             .into_iter()
-            .flat_map(|slot| slot.expect("every chunk was claimed and filled"))
+            .flat_map(|(_, out)| out)
             .collect()
     }
 }
@@ -225,19 +172,18 @@ fn registry_start_us(started: Instant) -> u64 {
         .as_micros() as u64
 }
 
-/// The sequential path: single worker, nested call, or tiny input.
-fn run_inline<T, S, R, FI, F>(items: &[T], init: FI, f: F, started: Instant, n: usize) -> Vec<R>
+/// The sequential path: single worker or tiny input.
+fn run_inline<T, R, F>(items: &[T], f: F, started: Instant) -> Vec<R>
 where
-    FI: Fn() -> S,
-    F: Fn(&mut S, &T) -> R,
+    F: Fn(&T) -> R,
 {
+    let n = items.len();
     let alloc_before = dpr_prof::alloc::thread_alloc_stats();
-    let mut state = init();
     let out: Vec<R> = {
         // The whole input is one chunk, timed under the same span name the
         // pooled path uses, so span paths do not depend on the thread count.
         let _span = (n > 0).then(|| dpr_telemetry::Span::enter("par.chunk"));
-        items.iter().map(|item| f(&mut state, item)).collect()
+        items.iter().map(f).collect()
     };
     let wall_us = started.elapsed().as_micros() as u64;
     let alloc = dpr_prof::alloc::thread_alloc_stats().since(alloc_before);
@@ -268,17 +214,15 @@ where
 /// Builds the call's [`CallProfile`] from the raw per-worker samples.
 ///
 /// `busy` and `wait` are measured directly; `idle` is the per-worker
-/// remainder of the call's wall time (spin-up gap before the worker's
-/// first claim, the tail after its last chunk while stragglers finish,
-/// and reassembly), saturating against clock-read jitter.
-#[allow(clippy::too_many_arguments)]
+/// remainder of the call's wall time (the thread-spawn gap before the
+/// worker's first claim, the tail after its last chunk while stragglers
+/// finish, and the join), saturating against clock-read jitter.
 fn finalize_profile(
     started: Instant,
     n: usize,
     chunk: usize,
     n_chunks: usize,
-    outcome: &pool::JobOutcome,
-    raw: Vec<pool::RawWorker>,
+    raw: &[pool::RawWorker],
     prof_on: bool,
 ) -> CallProfile {
     let wall_us = started.elapsed().as_micros() as u64;
@@ -312,7 +256,6 @@ fn finalize_profile(
         workers: stats,
         spinup_us,
         teardown_us: wall_us.saturating_sub(last_exit_us),
-        spawned_threads: outcome.spawned,
         inline: false,
         ..CallProfile::default()
     }
@@ -336,9 +279,6 @@ fn emit_call_metrics(profile: &CallProfile, prof_on: bool) {
         dpr_telemetry::histogram("par.utilization").record(profile.utilization() * 100.0);
         dpr_telemetry::histogram("par.imbalance").record(profile.imbalance());
         dpr_telemetry::histogram("par.steal_ratio").record(profile.steal_ratio());
-        if profile.spawned_threads > 0 {
-            dpr_telemetry::counter("par.pool_spawns").inc(profile.spawned_threads);
-        }
     }
     dpr_telemetry::counter("par.items").inc(profile.items);
     if prof_on {
@@ -367,21 +307,11 @@ where
     Pool::from_env().par_map(items, f)
 }
 
-/// [`Pool::par_map_init`] on the [`Pool::from_env`] pool.
-pub fn par_map_init<T, S, R, FI, F>(items: &[T], init: FI, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    FI: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    Pool::from_env().par_map_init(items, init, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn preserves_input_order() {
@@ -416,33 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn init_state_is_per_worker_scratch() {
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..100).collect();
-        let out = Pool::new(4).par_map_init(
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<u32>::new()
-            },
-            |scratch, x| {
-                scratch.push(*x);
-                *x + 1
-            },
-        );
-        assert_eq!(out.len(), 100);
-        assert_eq!(out[99], 100);
-        // One init per worker, not per item.
-        assert!(inits.load(Ordering::Relaxed) <= 4);
-    }
-
-    #[test]
     fn pool_clamps_to_one_thread() {
         assert_eq!(Pool::new(0).threads(), 1);
     }
 
     #[test]
-    fn nested_calls_run_inline_without_deadlock() {
+    fn nested_calls_do_not_deadlock() {
         let outer: Vec<u32> = (0..16).collect();
         let out = Pool::new(4).par_map(&outer, |x| {
             let inner: Vec<u32> = (0..8).collect();
@@ -522,11 +431,54 @@ mod tests {
         let result = std::panic::catch_unwind(|| {
             let items: Vec<u32> = (0..64).collect();
             Pool::new(4).par_map(&items, |x| {
-                assert!(*x != 13, "boom");
+                // Panic on a spawned worker, not on the caller: a bare
+                // scoped join would replace this payload with its own.
+                let spawned = std::thread::current()
+                    .name()
+                    .is_some_and(|name| name.starts_with("gp-worker-"));
+                assert!(!spawned, "boom");
+                std::thread::sleep(Duration::from_millis(1));
                 *x
             })
         });
-        assert!(result.is_err());
+        let payload = result.expect_err("the worker's panic reached the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("boom"));
+    }
+
+    #[test]
+    fn concurrent_calls_from_two_threads_run_side_by_side() {
+        // Item 0 of each call waits until item 0 of the other call has
+        // started, so this passes only if the two calls overlap.
+        let arrived = (Mutex::new(0usize), Condvar::new());
+        let items: Vec<u64> = (0..64).collect();
+        let call = || {
+            Pool::new(2).par_map(&items, |x| {
+                if *x == 0 {
+                    let (count, cv) = &arrived;
+                    let mut count = count.lock().expect("no holder panics");
+                    *count += 1;
+                    cv.notify_all();
+                    let wait = cv
+                        .wait_timeout_while(count, Duration::from_secs(30), |n| *n < 2)
+                        .expect("no holder panics")
+                        .1;
+                    assert!(!wait.timed_out(), "the two calls never overlapped");
+                }
+                x * 3
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(call);
+            let b = s.spawn(call);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let expect: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        assert_eq!(a, expect);
+        assert_eq!(b, expect);
     }
 
     #[test]
@@ -539,7 +491,7 @@ mod tests {
             })
         });
         assert!(boom.is_err());
-        // The same process-wide workers take the next job normally.
+        // A panicked call leaves nothing behind: the next one runs normally.
         let out = Pool::new(2).par_map(&items, |x| x + 1);
         assert_eq!(out[63], 64);
     }

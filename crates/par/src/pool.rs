@@ -1,49 +1,29 @@
-//! The process-wide persistent worker pool.
+//! One `par_map` call's fan-out on scoped threads.
 //!
-//! Workers (`gp-worker-N`) are OS threads spawned lazily — up to the
-//! largest *extra* worker count any call has requested — and parked on a
-//! condvar between jobs. A job is one `par_map` call: the submitter
-//! publishes a type-erased [`Task`] plus a participant count, wakes the
-//! pool, **claims worker slot 0 itself**, and blocks until every
-//! participant has decremented the active counter. Caller participation
-//! matters twice over: a 2-thread call needs only one condvar wake-up
-//! instead of two, and the submitting thread — already hot, already
-//! scheduled — starts chewing chunks immediately, so in the worst case
-//! (pool threads scheduled late) the call degenerates to inline speed
-//! instead of paying wake-up latency on the critical path. Because the
-//! submitter cannot return before the job completes, the task may borrow
-//! the caller's stack (items, closures, result slots) without `'static`
-//! bounds — that is the invariant the `unsafe` below leans on.
-//!
-//! Parked workers briefly spin (bounded [`PARK_SPINS`] yields) before
-//! sleeping on the condvar, so back-to-back jobs are usually picked up
-//! without paying a kernel wake-up at all.
-//!
-//! There is exactly one job slot: concurrent top-level `par_map` calls
-//! serialize on it, and a nested call from inside a worker runs inline
-//! (see [`in_worker`]) since waiting for the slot from a worker would
-//! deadlock the pool against itself.
-
-#![allow(unsafe_code)]
+//! Each call spawns `workers - 1` scoped threads (`gp-worker-N`) and
+//! takes worker slot 0 on the calling thread, so the caller starts
+//! claiming chunks while its siblings spin up. Every worker pulls chunk
+//! indices off one atomic cursor until none remain. The scope joins all
+//! of them before the call returns, which is what lets the workers
+//! borrow the caller's items and closure without `'static` bounds.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Raw per-worker samples for one job, all relative to the call's entry
+/// Raw per-worker samples for one call, all relative to the call's entry
 /// instant. Converted into `dpr_prof::WorkerStats` by the caller.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RawWorker {
-    /// Microseconds from call entry to the worker picking up the job.
+    /// Microseconds from call entry to the worker starting on the job.
     pub(crate) enter_us: u64,
     /// Microseconds from call entry to the worker finishing the job.
     pub(crate) exit_us: u64,
-    /// Microseconds inside `init` + the mapped function.
+    /// Microseconds inside the mapped function.
     pub(crate) busy_us: u64,
-    /// Microseconds claiming chunks and storing result slots.
+    /// Microseconds claiming chunks and storing their results.
     pub(crate) wait_us: u64,
     /// Chunks claimed.
     pub(crate) chunks: u64,
@@ -56,355 +36,149 @@ pub(crate) struct RawWorker {
     pub(crate) alloc_bytes: u64,
 }
 
-/// Everything a worker needs to execute one `par_map` call, borrowed
-/// from the submitting frame.
-pub(crate) struct Ctx<'a, T, S, R, FI, F> {
-    pub(crate) items: &'a [T],
-    pub(crate) init: &'a FI,
-    pub(crate) f: &'a F,
-    pub(crate) chunk: usize,
-    pub(crate) n_chunks: usize,
-    pub(crate) cursor: &'a AtomicUsize,
-    pub(crate) slots: &'a Mutex<Vec<Option<Vec<R>>>>,
-    pub(crate) stats: &'a Mutex<Vec<RawWorker>>,
-    pub(crate) started: Instant,
-    pub(crate) _state: std::marker::PhantomData<fn() -> S>,
-}
-
-/// What `run_job` hands back to the caller.
-pub(crate) struct JobOutcome {
-    /// OS threads this call spawned (0 once the pool is warm).
-    pub(crate) spawned: u64,
+/// What [`run`] hands back to the caller.
+pub(crate) struct Outcome<R> {
+    /// Every finished chunk with its index, in no particular order.
+    pub(crate) chunks: Vec<(usize, Vec<R>)>,
+    /// One sample per worker slot; a worker that panicked reports zeros.
+    pub(crate) workers: Vec<RawWorker>,
     /// The first worker panic, if any; the caller resumes it after
     /// recording the call profile.
     pub(crate) panic: Option<Box<dyn Any + Send>>,
 }
 
-/// A type-erased pointer to a [`Ctx`] on the submitter's stack plus its
-/// monomorphized runner.
-///
-/// SAFETY: `data` is only dereferenced by `run` (which casts it back to
-/// the exact `Ctx` type it was erased from), only between job publish
-/// and the submitter observing `active == 0` — a window during which
-/// the submitter is blocked and the `Ctx` borrow is live. `Send`/`Sync`
-/// are sound because `run_job` requires `T: Sync`, `R: Send`, and
-/// `Sync` closures, making the pointed-to `Ctx` shareable.
-#[derive(Clone, Copy)]
-struct Task {
-    data: *const (),
-    run: unsafe fn(*const (), usize),
+/// The shared, borrowed state of one call.
+struct Job<'a, T, F> {
+    items: &'a [T],
+    f: &'a F,
+    chunk: usize,
+    n_chunks: usize,
+    cursor: AtomicUsize,
+    started: Instant,
 }
 
-unsafe impl Send for Task {}
-unsafe impl Sync for Task {}
-
-#[derive(Clone)]
-struct Job {
-    task: Task,
+/// Maps `f` over `items` in `n_chunks` chunks of `chunk` items on
+/// `workers` threads, the caller included, and joins them all.
+pub(crate) fn run<T, R, F>(
+    items: &[T],
+    f: &F,
+    chunk: usize,
+    n_chunks: usize,
     workers: usize,
-    epoch: u64,
-    registry: Arc<dpr_telemetry::Registry>,
-    /// The submitter's correlation context (`job_id`, `req_id`), carried
-    /// onto pool workers so their log records join the same story.
-    log_context: Arc<Vec<(&'static str, String)>>,
-    /// The submitter's open spans, so a worker's spans report the same
-    /// paths as the submitter's own share of the job.
-    spans: Arc<Vec<&'static str>>,
-    panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
-}
-
-#[derive(Default)]
-struct State {
-    job: Option<Job>,
-    epoch: u64,
-    active: usize,
-    spawned: usize,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Workers wait here for the next job.
-    work: Condvar,
-    /// Submitters wait here for job completion / slot availability.
-    done: Condvar,
-}
-
-static SHARED: OnceLock<Arc<Shared>> = OnceLock::new();
-
-fn shared() -> &'static Arc<Shared> {
-    SHARED.get_or_init(|| {
-        Arc::new(Shared {
-            state: Mutex::new(State::default()),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        })
+    started: Instant,
+) -> Outcome<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let job = Job {
+        items,
+        f,
+        chunk,
+        n_chunks,
+        cursor: AtomicUsize::new(0),
+        started,
+    };
+    let registry = dpr_telemetry::registry();
+    let log_context = dpr_log::context_snapshot();
+    let spans = dpr_telemetry::open_spans();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|w| {
+                let registry = Arc::clone(&registry);
+                let (job, log_context, spans) = (&job, &log_context, &spans);
+                std::thread::Builder::new()
+                    // Named so trace exporters label each worker row.
+                    .name(format!("gp-worker-{}", w - 1))
+                    .spawn_scoped(scope, move || {
+                        // Re-enter the caller's log context, telemetry
+                        // registry and span stack: all are thread-local,
+                        // so without this hand-off every record emitted
+                        // inside the mapped function would lose its run
+                        // attribution, and span paths would depend on
+                        // which thread ran a chunk.
+                        dpr_log::with_context(log_context, || {
+                            dpr_telemetry::scoped(registry, || {
+                                dpr_telemetry::with_parents(spans, || work(job))
+                            })
+                        })
+                    })
+                    .expect("spawn dpr-par worker")
+            })
+            .collect();
+        // The caller's share is caught so every sibling is joined and the
+        // call profile recorded before any panic reaches the caller.
+        let caller = catch_unwind(AssertUnwindSafe(|| work(&job)));
+        let mut outcome = Outcome {
+            chunks: Vec::with_capacity(n_chunks),
+            workers: Vec::with_capacity(workers),
+            panic: None,
+        };
+        for result in std::iter::once(caller).chain(handles.into_iter().map(|h| h.join())) {
+            match result {
+                Ok((raw, chunks)) => {
+                    outcome.workers.push(raw);
+                    outcome.chunks.extend(chunks);
+                }
+                Err(payload) => {
+                    outcome.workers.push(RawWorker::default());
+                    outcome.panic.get_or_insert(payload);
+                }
+            }
+        }
+        outcome
     })
 }
 
-fn lock(shared: &Shared) -> MutexGuard<'_, State> {
-    shared.state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn wait<'a>(cv: &Condvar, guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-    cv.wait(guard).unwrap_or_else(|e| e.into_inner())
-}
-
-thread_local! {
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// True on pool worker threads; nested `par_map` calls check this and
-/// run inline instead of re-entering the single job slot.
-pub(crate) fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
-/// Sets the thread's in-worker flag for a scope, restoring it on drop
-/// (including across an unwinding panic in the caller's chunk loop).
-struct WorkerScope {
-    prev: bool,
-}
-
-impl WorkerScope {
-    fn enter() -> WorkerScope {
-        let prev = IN_WORKER.with(Cell::get);
-        IN_WORKER.with(|flag| flag.set(true));
-        WorkerScope { prev }
-    }
-}
-
-impl Drop for WorkerScope {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        IN_WORKER.with(|flag| flag.set(prev));
-    }
-}
-
-/// Bounded number of `yield_now` loops a worker spins through before
-/// parking on the condvar. Back-to-back jobs arrive well inside this
-/// window, skipping the kernel wake-up.
-const PARK_SPINS: usize = 64;
-
-/// Publishes `ctx` as one job for `workers` participants and blocks
-/// until all of them finish. The submitter itself takes worker slot 0;
-/// only `workers - 1` pool threads are woken. Returns the spawn count
-/// and any panic.
-pub(crate) fn run_job<T, S, R, FI, F>(ctx: &Ctx<'_, T, S, R, FI, F>, workers: usize) -> JobOutcome
+/// One worker's share of a call: claim chunks off the cursor until none
+/// remain, timing every phase. `wait` is cursor-claim plus result-store
+/// time; `busy` is the mapped function.
+fn work<T, R, F>(job: &Job<'_, T, F>) -> (RawWorker, Vec<(usize, Vec<R>)>)
 where
-    T: Sync,
-    R: Send,
-    FI: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
+    F: Fn(&T) -> R,
 {
-    let shared = shared();
-    let registry = dpr_telemetry::registry();
-    let panic_slot: Arc<Mutex<Option<Box<dyn Any + Send>>>> = Arc::new(Mutex::new(None));
-    let task = Task {
-        data: (ctx as *const Ctx<'_, T, S, R, FI, F>).cast(),
-        run: run_erased::<T, S, R, FI, F>,
-    };
-    // The caller is participant 0; the pool contributes the rest.
-    let extras = workers - 1;
-    let mut spawned = 0u64;
-    {
-        let mut st = lock(shared);
-        while st.job.is_some() {
-            st = wait(&shared.done, st);
-        }
-        while st.spawned < extras {
-            let index = st.spawned;
-            st.spawned += 1;
-            spawned += 1;
-            let shared = Arc::clone(shared);
-            std::thread::Builder::new()
-                // Named so trace exporters label each pool row.
-                .name(format!("gp-worker-{index}"))
-                .spawn(move || worker_loop(shared, index))
-                .expect("spawn dpr-par worker");
-        }
-        st.epoch += 1;
-        st.job = Some(Job {
-            task,
-            workers: extras,
-            epoch: st.epoch,
-            registry,
-            log_context: Arc::new(dpr_log::context_snapshot()),
-            spans: Arc::new(dpr_telemetry::open_spans()),
-            panic: Arc::clone(&panic_slot),
-        });
-        st.active = extras;
-    }
-    if extras > 0 {
-        shared.work.notify_all();
-    }
-    // Claim slot 0 on the submitting thread while the pool wakes. The
-    // in-worker flag makes any nested par_map inside the mapped function
-    // run inline rather than deadlock on the job slot we hold.
-    let caller_panic = {
-        let _scope = WorkerScope::enter();
-        // SAFETY: `ctx` is a live borrow on this very stack frame.
-        catch_unwind(AssertUnwindSafe(|| run_typed(ctx, 0))).err()
-    };
-    {
-        let mut st = lock(shared);
-        while st.active > 0 {
-            st = wait(&shared.done, st);
-        }
-        st.job = None;
-    }
-    // Free the job slot for any queued submitter.
-    shared.done.notify_all();
-    let mut panic = panic_slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-    if panic.is_none() {
-        panic = caller_panic;
-    }
-    JobOutcome { spawned, panic }
-}
-
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    IN_WORKER.with(|flag| flag.set(true));
-    let mut last_epoch = 0u64;
-    loop {
-        let job = {
-            let mut st = lock(&shared);
-            let mut spins = 0usize;
-            loop {
-                let mut claimed = None;
-                if let Some(job) = &st.job {
-                    if job.epoch > last_epoch {
-                        // Mark the job seen even when we sit it out, so a
-                        // non-participant never re-examines the same job.
-                        last_epoch = job.epoch;
-                        if index < job.workers {
-                            claimed = Some(job.clone());
-                        }
-                    }
-                }
-                if let Some(job) = claimed {
-                    break job;
-                }
-                if spins < PARK_SPINS {
-                    // Spin briefly before parking: back-to-back jobs
-                    // follow within microseconds, and re-checking after a
-                    // yield beats a condvar round-trip.
-                    spins += 1;
-                    drop(st);
-                    std::thread::yield_now();
-                    st = lock(&shared);
-                } else {
-                    st = wait(&shared.work, st);
-                }
-            }
-        };
-        // Re-enter the caller's telemetry registry, log context and span
-        // stack for the job's duration: all are thread-local, so without
-        // this hand-off every span, counter, or log record emitted inside
-        // the mapped function would lose its run attribution, and span
-        // paths would depend on which thread ran a chunk. The panic is
-        // caught *inside* the scope so `scoped` always unwinds its stack
-        // cleanly.
-        dpr_log::with_context(&job.log_context, || {
-            dpr_telemetry::scoped(Arc::clone(&job.registry), || {
-                dpr_telemetry::with_parents(&job.spans, || {
-                    // SAFETY: the submitter blocks until we decrement
-                    // `active` below, so the `Ctx` behind `task.data` is
-                    // still alive. The caller holds stats slot 0, so pool
-                    // thread N records as worker N + 1.
-                    let result = catch_unwind(AssertUnwindSafe(|| unsafe {
-                        (job.task.run)(job.task.data, index + 1)
-                    }));
-                    if let Err(payload) = result {
-                        let mut slot = job.panic.lock().unwrap_or_else(|e| e.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                    }
-                })
-            })
-        });
-        let mut st = lock(&shared);
-        st.active -= 1;
-        let finished = st.active == 0;
-        drop(st);
-        if finished {
-            shared.done.notify_all();
-        }
-    }
-}
-
-/// Monomorphized trampoline: recovers the concrete `Ctx` type and runs
-/// the worker body.
-///
-/// SAFETY: called only with a `data` pointer produced from the same
-/// `Ctx<'_, T, S, R, FI, F>` instantiation in `run_job`, while that
-/// `Ctx` is alive (the submitter is blocked).
-unsafe fn run_erased<T, S, R, FI, F>(data: *const (), worker: usize)
-where
-    T: Sync,
-    R: Send,
-    FI: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let ctx = &*data.cast::<Ctx<'_, T, S, R, FI, F>>();
-    run_typed(ctx, worker);
-}
-
-/// One worker's share of a job: claim chunks off the cursor until none
-/// remain, timing every phase. `wait` is cursor-claim plus slot-store
-/// time; `busy` is `init` plus the mapped function.
-fn run_typed<T, S, R, FI, F>(ctx: &Ctx<'_, T, S, R, FI, F>, worker: usize)
-where
-    FI: Fn() -> S,
-    F: Fn(&mut S, &T) -> R,
-{
-    let enter_us = ctx.started.elapsed().as_micros() as u64;
+    let enter_us = job.started.elapsed().as_micros() as u64;
     let alloc_before = dpr_prof::alloc::thread_alloc_stats();
     let mut busy = Duration::ZERO;
-    let mut wait_t = Duration::ZERO;
-    let mut chunks = 0u64;
+    let mut wait = Duration::ZERO;
+    let mut done = Vec::new();
     let mut items = 0u64;
-
-    let init_start = Instant::now();
-    let mut state = (ctx.init)();
-    busy += init_start.elapsed();
 
     loop {
         let claim_start = Instant::now();
-        let c = ctx.cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= ctx.n_chunks {
-            wait_t += claim_start.elapsed();
+        // Relaxed: the cursor hands out unique indices and publishes no
+        // other data; results reach the caller through the join.
+        let c = job.cursor.fetch_add(1, Ordering::Relaxed);
+        if c >= job.n_chunks {
+            wait += claim_start.elapsed();
             break;
         }
-        let start = c * ctx.chunk;
-        let end = (start + ctx.chunk).min(ctx.items.len());
+        let start = c * job.chunk;
+        let end = (start + job.chunk).min(job.items.len());
         let claimed = Instant::now();
-        wait_t += claimed - claim_start;
+        wait += claimed - claim_start;
         let out: Vec<R> = {
             let _span = dpr_telemetry::Span::enter("par.chunk");
-            ctx.items[start..end]
-                .iter()
-                .map(|item| (ctx.f)(&mut state, item))
-                .collect()
+            job.items[start..end].iter().map(job.f).collect()
         };
         let mapped = Instant::now();
         busy += mapped - claimed;
-        ctx.slots.lock().unwrap_or_else(|e| e.into_inner())[c] = Some(out);
-        wait_t += mapped.elapsed();
-        chunks += 1;
+        done.push((c, out));
+        wait += mapped.elapsed();
         items += (end - start) as u64;
     }
 
     let alloc = dpr_prof::alloc::thread_alloc_stats().since(alloc_before);
-    let exit_us = ctx.started.elapsed().as_micros() as u64;
-    let mut stats = ctx.stats.lock().unwrap_or_else(|e| e.into_inner());
-    stats[worker] = RawWorker {
+    let raw = RawWorker {
         enter_us,
-        exit_us,
+        exit_us: job.started.elapsed().as_micros() as u64,
         busy_us: busy.as_micros() as u64,
-        wait_us: wait_t.as_micros() as u64,
-        chunks,
+        wait_us: wait.as_micros() as u64,
+        chunks: done.len() as u64,
         items,
         allocs: alloc.allocs,
         alloc_bytes: alloc.bytes,
     };
+    (raw, done)
 }

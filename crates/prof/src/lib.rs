@@ -2,7 +2,7 @@
 //!
 //! `dpr-prof` is the measurement layer underneath `dpr-par`: the pool
 //! reports one [`CallProfile`] per `par_map` call (per-worker busy /
-//! chunk-wait / idle accounting, chunk geometry, spin-up and teardown
+//! chunk-wait / idle accounting, chunk geometry, thread spawn and join
 //! cost), and this crate aggregates them into a process-wide store that
 //! the observability stack reads back out — `GET /profile` on the
 //! metrics server and utilization counter tracks in the Chrome trace
@@ -13,14 +13,13 @@
 //! All times come from monotonic clocks ([`std::time::Instant`]).
 //! For each worker of a call:
 //!
-//! * **busy** — time inside the caller's mapped function (including the
-//!   per-worker `init` that builds scratch state),
+//! * **busy** — time inside the caller's mapped function,
 //! * **wait** — time spent claiming chunks off the shared cursor and
-//!   storing finished chunks into the result slots (synchronization),
-//! * **idle** — everything else inside the worker's lifetime: the gap
-//!   between call start and the worker's first instruction (spin-up
-//!   latency, dominated by OS thread scheduling) and the tail between a
-//!   worker running out of chunks and the slowest worker finishing.
+//!   storing finished chunks (synchronization),
+//! * **idle** — everything else inside the call: the gap between call
+//!   start and the worker's first instruction (thread-spawn latency,
+//!   dominated by OS thread creation and scheduling) and the tail
+//!   between a worker running out of chunks and the call's join.
 //!
 //! The invariant `busy + wait + idle ≈ wall` holds per worker within
 //! clock-read jitter; `crates/par/tests/accounting.rs` property-tests

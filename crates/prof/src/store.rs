@@ -15,12 +15,12 @@ const RECENT_CAP: usize = 64;
 pub struct WorkerStats {
     /// Worker index within the pool (0-based).
     pub worker: u64,
-    /// Microseconds inside the caller's mapped function (and `init`).
+    /// Microseconds inside the caller's mapped function.
     pub busy_us: u64,
     /// Microseconds claiming chunks and storing results (synchronization).
     pub wait_us: u64,
-    /// Microseconds neither busy nor waiting: spin-up latency before the
-    /// worker's first claim plus the tail after its last chunk while
+    /// Microseconds neither busy nor waiting: thread-spawn latency before
+    /// the worker's first claim plus the tail after its last chunk while
     /// slower siblings finish.
     pub idle_us: u64,
     /// Chunks this worker claimed.
@@ -61,14 +61,11 @@ pub struct CallProfile {
     /// Workers that participated (empty for inline single-thread calls).
     pub workers: Vec<WorkerStats>,
     /// Microseconds from call entry until every worker had started
-    /// executing (max spin-up latency across workers).
+    /// executing (max thread-spawn latency across workers).
     pub spinup_us: u64,
     /// Microseconds from the last worker going idle until the call
-    /// returned (join + reassembly).
+    /// returned (the join).
     pub teardown_us: u64,
-    /// OS threads spawned *by this call* (0 once the persistent pool is
-    /// warm — the whole point of `par.pool_spawns`).
-    pub spawned_threads: u64,
     /// Whether the call ran inline on the caller's thread.
     pub inline: bool,
 }
@@ -200,8 +197,6 @@ pub struct LabelSummary {
     pub items: u64,
     /// Σ chunks claimed.
     pub chunks: u64,
-    /// Σ OS threads spawned on behalf of these calls.
-    pub spawned_threads: u64,
     /// Σ allocations attributed to workers.
     pub allocs: u64,
     /// Σ bytes attributed to workers.
@@ -239,7 +234,6 @@ impl LabelSummary {
         self.teardown_us += call.teardown_us;
         self.items += call.items;
         self.chunks += call.chunks;
-        self.spawned_threads += call.spawned_threads;
         self.allocs += call.allocs();
         self.alloc_bytes += call.alloc_bytes();
         self.max_workers = self.max_workers.max(call.workers.len() as u64);
@@ -345,7 +339,6 @@ mod tests {
                 .collect(),
             spinup_us: 40,
             teardown_us: 10,
-            spawned_threads: 2,
             ..CallProfile::default()
         }
     }

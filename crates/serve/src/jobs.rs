@@ -311,10 +311,16 @@ impl std::fmt::Debug for WorkerHealth {
     }
 }
 
-/// Pipeline stage names [`StageProgress`] watches for. `ecr` runs
-/// unspanned inside the association stage; everything else matches the
-/// spans `DpReverser` enters per stage.
-pub const STAGE_NAMES: [&str; 5] = ["capture", "transport", "ocr", "association", "inference"];
+/// Pipeline stage names [`StageProgress`] watches for: the spans
+/// `DpReverser` enters per stage.
+pub const STAGE_NAMES: [&str; 6] = [
+    "capture",
+    "transport",
+    "ocr",
+    "association",
+    "inference",
+    "ecr",
+];
 
 /// What one job analyzes.
 #[derive(Debug)]

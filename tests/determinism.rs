@@ -1,56 +1,65 @@
-//! Regression test: the full pipeline is bit-identical at any thread
-//! count, and pinned to checked-in golden output.
+//! Regression test: the per-car fan-out is bit-identical at any width,
+//! and pinned to checked-in golden output.
 //!
-//! * `DpReverser::analyze` with `DPR_THREADS=1` must equal
-//!   `DPR_THREADS=N` — same `ReverseEngineeringResult`, same GP error
-//!   trajectories, same telemetry counters.
+//! * Cars M and O are analyzed through `dpr_par::Pool::new(w).par_map`
+//!   at widths 1, 2 and `DPR_THREADS` (4 when unset), the same per-car
+//!   fan-out `dpr-bench` uses. Every width must give each car the
+//!   width-1 `ReverseEngineeringResult`, GP error trajectories and
+//!   telemetry counters. The car list is repeated until it has at least
+//!   `w` entries, so every width really runs `w` workers.
 //! * The canonical result JSON (trace zeroed) of each car must equal
 //!   `tests/golden/car_<id>.json` byte for byte, so a change that moves
-//!   every thread count in step still fails here. If the change to the
+//!   every width in step still fails here. If the change to the
 //!   analysis is intentional, regenerate with:
 //!
 //! ```text
 //! DPR_REGEN_GOLDEN=1 cargo test -p dp-reverser --test determinism
 //! ```
-//!
-//! Single `#[test]` function on purpose: the test mutates the
-//! `DPR_THREADS` process environment, and sibling tests in this binary
-//! would race on it.
 
 use dp_reverser::{DpReverser, PipelineConfig, ReverseEngineeringResult};
-use dpr_can::Micros;
-use dpr_cps::{collect_vehicle, CollectConfig, CollectionReport};
+use dpr_can::{BusLog, Micros};
+use dpr_cps::script::ExecutionLog;
+use dpr_cps::{collect_vehicle, CollectConfig};
 use dpr_frames::Scheme;
 use dpr_telemetry::{MetricsSnapshot, Registry};
-use dpr_tool::{ToolProfile, ToolSession};
+use dpr_tool::{ToolProfile, ToolSession, UiFrame};
 use dpr_vehicle::profiles::{self, CarId};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn quick_collect(id: CarId, seed: u64) -> CollectionReport {
+/// The parts of a collection session the pipeline reads.
+struct Capture {
+    log: BusLog,
+    frames: Vec<UiFrame>,
+    execution: ExecutionLog,
+}
+
+fn quick_collect(id: CarId, seed: u64) -> Capture {
     let car = profiles::build(id, seed);
     let spec = profiles::spec(id);
     let session = ToolSession::new(car, ToolProfile::by_name(spec.tool).unwrap());
-    collect_vehicle(
+    let report = collect_vehicle(
         session,
         &CollectConfig {
             read_wait: Micros::from_secs(4),
             ..CollectConfig::default()
         },
     )
-    .unwrap()
+    .unwrap();
+    Capture {
+        log: report.log,
+        frames: report.frames,
+        execution: report.execution,
+    }
 }
 
 /// Analyzes inside a private telemetry scope and returns the result
 /// together with the run's metrics.
-fn analyze_scoped(
-    seed: u64,
-    report: &CollectionReport,
-) -> (ReverseEngineeringResult, MetricsSnapshot) {
+fn analyze_scoped(seed: u64, capture: &Capture) -> (ReverseEngineeringResult, MetricsSnapshot) {
     let registry = Arc::new(Registry::new());
     let result = dpr_telemetry::scoped(Arc::clone(&registry), || {
         let pipeline = DpReverser::new(PipelineConfig::fast(Scheme::IsoTp, seed));
-        pipeline.analyze(&report.log, &report.frames, Some(&report.execution))
+        pipeline.analyze(&capture.log, &capture.frames, Some(&capture.execution))
     });
     (result, registry.snapshot())
 }
@@ -92,43 +101,53 @@ fn check_golden(id: CarId, json: &str) {
     );
 }
 
-/// One test fn on purpose — see module docs.
 #[test]
 fn analyze_is_bit_identical_across_thread_counts() {
-    let parallel = std::env::var("DPR_THREADS")
+    let widest = std::env::var("DPR_THREADS")
         .ok()
-        .filter(|v| !v.trim().is_empty())
-        .unwrap_or_else(|| "4".to_string());
-    let restore = std::env::var("DPR_THREADS").ok();
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .unwrap_or(4)
+        .max(1);
+    let mut widths = vec![1, 2, widest];
+    widths.dedup();
 
     // Two Tab. 3 car profiles: Car M (formula + enum ESVs) and Car O
     // (ECR recovery) — together they exercise every analyze stage.
-    for (id, seed) in [(CarId::M, 5), (CarId::O, 13)] {
-        let report = quick_collect(id, seed);
+    let cars: Vec<(CarId, u64, Capture)> = [(CarId::M, 5), (CarId::O, 13)]
+        .into_iter()
+        .map(|(id, seed)| (id, seed, quick_collect(id, seed)))
+        .collect();
 
-        std::env::set_var("DPR_THREADS", "1");
-        let (seq_result, seq_metrics) = analyze_scoped(seed, &report);
-        std::env::set_var("DPR_THREADS", &parallel);
-        let (par_result, par_metrics) = analyze_scoped(seed, &report);
-
-        assert_eq!(
-            seq_result, par_result,
-            "{id:?}: result differs between 1 and {parallel} threads"
-        );
-        assert_eq!(
-            deterministic_view(&seq_metrics),
-            deterministic_view(&par_metrics),
-            "{id:?}: telemetry (GP error trajectories, counters) differs"
-        );
-        // The GP actually ran, so the comparison above had teeth.
-        assert!(seq_metrics.counters.get("gp.fits").copied().unwrap_or(0) > 0);
-        assert!(seq_metrics.histograms.contains_key("gp.best_error_trajectory"));
-
-        check_golden(id, &seq_result.canonical_json());
+    let mut reference: Vec<(ReverseEngineeringResult, MetricsSnapshot)> = Vec::new();
+    for width in widths {
+        let jobs: Vec<usize> = (0..cars.len().max(width)).map(|i| i % cars.len()).collect();
+        let runs = dpr_par::Pool::new(width).par_map(&jobs, |&car| {
+            let (_, seed, capture) = &cars[car];
+            analyze_scoped(*seed, capture)
+        });
+        if reference.is_empty() {
+            reference = runs[..cars.len()].to_vec();
+        }
+        for (&car, (result, metrics)) in jobs.iter().zip(&runs) {
+            let id = cars[car].0;
+            let (seq_result, seq_metrics) = &reference[car];
+            assert_eq!(
+                seq_result, result,
+                "{id:?}: result differs between widths 1 and {width}"
+            );
+            assert_eq!(
+                deterministic_view(seq_metrics),
+                deterministic_view(metrics),
+                "{id:?}: telemetry (GP error trajectories, counters) differs at width {width}"
+            );
+        }
     }
 
-    match restore {
-        Some(v) => std::env::set_var("DPR_THREADS", v),
-        None => std::env::remove_var("DPR_THREADS"),
+    for ((id, _, _), (result, metrics)) in cars.iter().zip(&reference) {
+        // The GP actually ran, so the comparisons above had teeth.
+        assert!(metrics.counters.get("gp.fits").copied().unwrap_or(0) > 0);
+        assert!(metrics.histograms.contains_key("gp.best_error_trajectory"));
+
+        check_golden(*id, &result.canonical_json());
     }
 }
