@@ -114,53 +114,70 @@ fn abs_pearson(xs: &[f64], ys: &[f64]) -> f64 {
     (cov / (vx.sqrt() * vy.sqrt())).abs()
 }
 
-/// Builds the `(X, Y)` pairs for one candidate: each X sample takes the
-/// nearest-in-time Y value within `window` (paper §3.5 Step 1).
-pub(crate) fn pair_series(
+/// Pairs one candidate into `out`: each X sample takes the
+/// nearest-in-time Y value within `window` (paper §3.5 Step 1). A pair is
+/// kept as the X sample's index plus that Y value, so scoring a candidate
+/// copies no X values; [`materialize`] builds the `(X, Y)` pairs of the
+/// few candidates that are kept.
+fn pair_indices(
     x: &EsvSeries,
     y: &[(Micros, f64)],
     window: Micros,
-) -> Vec<(Vec<f64>, f64)> {
-    let mut out = Vec::new();
+    out: &mut Vec<(usize, f64)>,
+) {
+    out.clear();
     if y.is_empty() {
-        return out;
+        return;
     }
     let mut j = 0usize;
-    for (t, vals) in &x.samples {
+    for (i, (t, _)) in x.samples.iter().enumerate() {
         // Advance j to the closest y timestamp (y is time-sorted).
         while j + 1 < y.len() && y[j + 1].0.abs_diff(*t) <= y[j].0.abs_diff(*t) {
             j += 1;
         }
         if y[j].0.abs_diff(*t) <= window {
-            let mut cols = vals.clone();
-            cols.truncate(2);
-            out.push((cols, y[j].1));
+            out.push((i, y[j].1));
         }
     }
-    out
+}
+
+/// The `(x values, y)` pairs of a pairing: each sample's first two raw
+/// values with its paired Y.
+fn materialize(x: &EsvSeries, pairing: &[(usize, f64)]) -> Vec<(Vec<f64>, f64)> {
+    pairing
+        .iter()
+        .map(|&(i, y)| {
+            let vals = &x.samples[i].1;
+            (vals[..vals.len().min(2)].to_vec(), y)
+        })
+        .collect()
 }
 
 /// Scores one candidate pairing: the best absolute Pearson correlation
 /// over the features `X0`, `X1`, `X0·X1`, with two special cases — exact
 /// equality (enumerations) scores 1.0, and matching constants score 0.35
 /// (weak, but assignable when nothing else claims the label).
-pub(crate) fn score_pairs(pairs: &[(Vec<f64>, f64)]) -> f64 {
-    if pairs.len() < 3 {
+fn score_pairing(x: &EsvSeries, pairing: &[(usize, f64)]) -> f64 {
+    if pairing.len() < 3 {
         return 0.0;
     }
-    let ys: Vec<f64> = pairs.iter().map(|(_, y)| *y).collect();
-    let x0: Vec<f64> = pairs.iter().map(|(x, _)| x[0]).collect();
-    let equal = pairs
+    let vals = |i: usize| x.samples[i].1.as_slice();
+    let ys: Vec<f64> = pairing.iter().map(|&(_, y)| y).collect();
+    let x0: Vec<f64> = pairing.iter().map(|&(i, _)| vals(i)[0]).collect();
+    let equal = pairing
         .iter()
-        .filter(|(x, y)| (x[0] - y).abs() < 1e-9)
+        .filter(|&&(i, y)| (vals(i)[0] - y).abs() < 1e-9)
         .count();
-    if equal * 10 >= pairs.len() * 9 {
+    if equal * 10 >= pairing.len() * 9 {
         return 1.0;
     }
     let mut best = correlation(&x0, &ys);
-    if pairs[0].0.len() > 1 {
-        let x1: Vec<f64> = pairs.iter().map(|(x, _)| x[1]).collect();
-        let prod: Vec<f64> = pairs.iter().map(|(x, _)| x[0] * x[1]).collect();
+    if vals(pairing[0].0).len() > 1 {
+        let x1: Vec<f64> = pairing.iter().map(|&(i, _)| vals(i)[1]).collect();
+        let prod: Vec<f64> = pairing
+            .iter()
+            .map(|&(i, _)| vals(i)[0] * vals(i)[1])
+            .collect();
         best = best.max(correlation(&x1, &ys)).max(correlation(&prod, &ys));
     }
     if best > 0.0 {
@@ -186,18 +203,19 @@ pub fn match_series(
     threshold: f64,
 ) -> Vec<MatchScore> {
     let mut candidates: Vec<MatchScore> = Vec::new();
+    let mut pairing = Vec::new();
     for (si, x) in xs.iter().enumerate() {
         for (li, (_, y)) in ys.iter().enumerate() {
-            let pairs = pair_series(x, y, window);
-            let score = score_pairs(&pairs);
-            dpr_telemetry::counter("pipeline.pairs_formed").inc(pairs.len() as u64);
+            pair_indices(x, y, window, &mut pairing);
+            let score = score_pairing(x, &pairing);
+            dpr_telemetry::counter("pipeline.pairs_formed").inc(pairing.len() as u64);
             if score >= threshold {
                 dpr_telemetry::counter("pipeline.matches_above_threshold").inc(1);
                 candidates.push(MatchScore {
                     series_idx: si,
                     label_idx: li,
                     score,
-                    pairs,
+                    pairs: materialize(x, &pairing),
                 });
             } else {
                 dpr_telemetry::counter("pipeline.matches_below_threshold").inc(1);
@@ -207,7 +225,7 @@ pub fn match_series(
                     si,
                     li,
                     score,
-                    pairs.len(),
+                    pairing.len(),
                     dpr_evidence::CandidateDecision::BelowThreshold,
                 );
             }
@@ -261,6 +279,7 @@ pub fn match_series_two_pass(
         used_labels[m.label_idx] = true;
     }
     let mut second: Vec<MatchScore> = Vec::new();
+    let mut pairing = Vec::new();
     for (si, x) in xs.iter().enumerate() {
         if used_series[si] {
             continue;
@@ -269,14 +288,14 @@ pub fn match_series_two_pass(
             if used_labels[li] {
                 continue;
             }
-            let pairs = pair_series(x, y, window);
-            let score = score_pairs(&pairs);
+            pair_indices(x, y, window, &mut pairing);
+            let score = score_pairing(x, &pairing);
             if score >= threshold * 0.6 {
                 second.push(MatchScore {
                     series_idx: si,
                     label_idx: li,
                     score,
-                    pairs,
+                    pairs: materialize(x, &pairing),
                 });
             }
         }
@@ -364,26 +383,43 @@ mod tests {
         }
     }
 
+    /// Every sample of `x` paired with `y(its values)`.
+    fn pair_all(x: &EsvSeries, y: impl Fn(&[f64]) -> f64) -> Vec<(usize, f64)> {
+        x.samples
+            .iter()
+            .enumerate()
+            .map(|(i, (_, vals))| (i, y(vals)))
+            .collect()
+    }
+
     #[test]
     fn enumeration_equality_scores_perfectly() {
-        let pairs: Vec<(Vec<f64>, f64)> = (0..20)
-            .map(|i| (vec![(i % 2) as f64], (i % 2) as f64))
-            .collect();
-        assert_eq!(score_pairs(&pairs), 1.0);
+        let x = x_series(1, |i| vec![(i % 2) as f64]);
+        assert_eq!(score_pairing(&x, &pair_all(&x, |v| v[0])), 1.0);
     }
 
     #[test]
     fn product_formula_detected_via_cross_feature() {
         // y = x0*x1/5 where both vary and neither alone correlates
         // strongly.
-        let pairs: Vec<(Vec<f64>, f64)> = (0..40)
-            .map(|i| {
-                let x0 = (100 + (i * 37) % 120) as f64;
-                let x1 = (10 + (i * 23) % 20) as f64;
-                (vec![x0, x1], x0 * x1 / 5.0)
-            })
-            .collect();
-        assert!(score_pairs(&pairs) > 0.9);
+        let x = x_series(1, |i| {
+            vec![(100 + (i * 37) % 120) as f64, (10 + (i * 23) % 20) as f64]
+        });
+        assert!(score_pairing(&x, &pair_all(&x, |v| v[0] * v[1] / 5.0)) > 0.9);
+    }
+
+    #[test]
+    fn kept_candidates_carry_the_first_two_values_of_each_paired_sample() {
+        let x = x_series(1, |i| vec![i as f64, 2.0 * i as f64, 7.0]);
+        let y = y_series(|i| i as f64 + 0.5);
+        let mut pairing = Vec::new();
+        pair_indices(&x, &y, Micros::from_millis(500), &mut pairing);
+        let pairs = materialize(&x, &pairing);
+        assert_eq!(pairs.len(), 30);
+        for (i, (vals, y)) in pairs.iter().enumerate() {
+            assert_eq!(vals, &[i as f64, 2.0 * i as f64]);
+            assert_eq!(*y, i as f64 + 0.5);
+        }
     }
 
     #[test]
@@ -405,8 +441,9 @@ mod tests {
         let y: Vec<(Micros, f64)> = (0..30)
             .map(|i| (Micros::from_secs(100 + i as u64), i as f64))
             .collect();
-        let pairs = pair_series(&x, &y, Micros::from_millis(500));
-        assert!(pairs.is_empty());
+        let mut pairing = vec![(0, 0.0)];
+        pair_indices(&x, &y, Micros::from_millis(500), &mut pairing);
+        assert!(pairing.is_empty());
     }
 
     #[test]

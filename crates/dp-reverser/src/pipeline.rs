@@ -283,23 +283,40 @@ impl DpReverser {
         // ——— response-message analysis: infer formulas ———
         let mut esvs = tracer.stage("inference", || {
             let _span = dpr_telemetry::Span::enter("inference");
+            // Each fit is seeded from its sensor key alone, so the matches
+            // fan out across threads. Every item records its evidence into
+            // a capture of its own; replaying those in match order below
+            // gives the ledger the sequential run's exact event order.
+            let fits = dpr_par::par_map(&matches, |m| {
+                dpr_evidence::capture(|| {
+                    if m.pairs.len() < self.config.min_pairs {
+                        crate::associate::record_candidate(
+                            &capture.extraction.series,
+                            &y_series,
+                            m.series_idx,
+                            m.label_idx,
+                            m.score,
+                            m.pairs.len(),
+                            dpr_evidence::CandidateDecision::TooFewPairs,
+                        );
+                        return None;
+                    }
+                    let series = &capture.extraction.series[m.series_idx];
+                    let ((screen, label), _) = &y_series[m.label_idx];
+                    self.infer_one(series, screen, label, m)
+                })
+            });
+            // The best-fitness trajectory, one sample per generation of
+            // every fit, recorded here in match order: a histogram's
+            // float sum depends on the order its samples arrive in.
+            let trajectory = dpr_telemetry::histogram("gp.best_error_trajectory");
             let mut esvs = Vec::new();
-            for m in &matches {
-                if m.pairs.len() < self.config.min_pairs {
-                    crate::associate::record_candidate(
-                        &capture.extraction.series,
-                        &y_series,
-                        m.series_idx,
-                        m.label_idx,
-                        m.score,
-                        m.pairs.len(),
-                        dpr_evidence::CandidateDecision::TooFewPairs,
-                    );
-                    continue;
-                }
-                let series = &capture.extraction.series[m.series_idx];
-                let ((screen, label), _) = &y_series[m.label_idx];
-                if let Some(esv) = self.infer_one(series, screen, label, m) {
+            for (fit, events) in fits {
+                events.into_iter().for_each(dpr_evidence::record);
+                if let Some((esv, history)) = fit {
+                    for err in history.into_iter().filter(|e| e.is_finite()) {
+                        trajectory.record(err);
+                    }
                     esvs.push(esv);
                 }
             }
@@ -355,14 +372,16 @@ impl DpReverser {
         (result, descs)
     }
 
-    /// Infers the decoding rule for one matched (identifier, label) pair.
+    /// Infers the decoding rule for one matched (identifier, label) pair,
+    /// handing back the GP fit's per-generation best errors alongside
+    /// (empty for an enumeration).
     fn infer_one(
         &self,
         series: &dpr_frames::EsvSeries,
         screen: &str,
         label: &str,
         m: &MatchScore,
-    ) -> Option<RecoveredEsv> {
+    ) -> Option<(RecoveredEsv, Vec<f64>)> {
         // Robust trim: pairs whose Y came from a neighbouring poll round
         // (or a surviving OCR error) sit far off the underlying relation;
         // fit a quick low-order model and drop large-residual pairs before
@@ -444,7 +463,7 @@ impl DpReverser {
             && distinct.len() <= 12
             && ys.iter().all(|y| y.fract() == 0.0 && (0.0..=20.0).contains(y))
         {
-            return Some(RecoveredEsv {
+            let esv = RecoveredEsv {
                 key: series.key,
                 f_type: series.f_type,
                 screen: screen.to_string(),
@@ -453,7 +472,8 @@ impl DpReverser {
                 pairs: m.pairs.len(),
                 x_ranges,
                 match_score: m.score,
-            });
+            };
+            return Some((esv, Vec::new()));
         }
 
         let data = Dataset::new(rows, ys).ok()?;
@@ -467,7 +487,12 @@ impl DpReverser {
         // Tag the fit's lineage event with the sensor it belongs to.
         let model =
             dpr_evidence::with_subject(&series.key.to_string(), || engine.fit(&data));
-        Some(RecoveredEsv {
+        let history = engine
+            .last_report()
+            .expect("a fit leaves its report")
+            .best_error_history
+            .clone();
+        let esv = RecoveredEsv {
             key: series.key,
             f_type: series.f_type,
             screen: screen.to_string(),
@@ -476,7 +501,8 @@ impl DpReverser {
             pairs: m.pairs.len(),
             x_ranges,
             match_score: m.score,
-        })
+        };
+        Some((esv, history))
     }
 }
 

@@ -83,9 +83,10 @@ pub enum Op {
 /// plain ops (`Const`/`Var`/`Unary`/`Binary`), one op per tree node.
 ///
 /// Nodes are numbered in *preorder* (root, left subtree, right subtree),
-/// the numbering every tree operator draws from; [`subtrees`](Self::subtrees)
-/// maps it onto postfix ranges. Leaves keep their left-to-right order in
-/// both forms, so the `k`-th `Const` op is the tree's `k`-th constant leaf.
+/// the numbering every tree operator draws from; [`subtree`](Self::subtree)
+/// and [`subtrees`](Self::subtrees) map it onto postfix ranges. Leaves
+/// keep their left-to-right order in both forms, so the `k`-th `Const`
+/// op is the tree's `k`-th constant leaf.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Genome(Vec<Op>);
 
@@ -226,6 +227,52 @@ impl Genome {
             }
         }
         out
+    }
+
+    /// Node `at`'s subtree as a postfix range, where `at` is a preorder
+    /// number: `subtrees()[at]` without building the whole table. Walks
+    /// down from the root; at a binary node it finds where the right
+    /// child starts by counting operands backwards from the node's end.
+    pub fn subtree(&self, at: usize) -> Range<usize> {
+        let (mut start, mut end, mut k) = (0, self.0.len() - 1, 0);
+        while k < at {
+            match self.0[end] {
+                Op::Unary(_) => {
+                    k += 1;
+                    end -= 1;
+                }
+                Op::Binary(_) => {
+                    let right = self.start_of(end - 1);
+                    let left_size = right - start;
+                    if at <= k + left_size {
+                        k += 1;
+                        end = right - 1;
+                    } else {
+                        k += 1 + left_size;
+                        start = right;
+                        end -= 1;
+                    }
+                }
+                _ => unreachable!("preorder number {at} is past the last node"),
+            }
+        }
+        start..end + 1
+    }
+
+    /// Where the subtree ending at `end` starts.
+    fn start_of(&self, end: usize) -> usize {
+        let mut need = 1usize;
+        let mut i = end + 1;
+        while need > 0 {
+            i -= 1;
+            need = need - 1
+                + match self.0[i] {
+                    Op::Unary(_) => 1,
+                    Op::Binary(_) => 2,
+                    _ => 0,
+                };
+        }
+        i
     }
 
     /// A copy with the subtree at `at` replaced by the subtree `with`.

@@ -6,10 +6,10 @@
 //! Every individual is a [`Genome`], a flat postfix program, from
 //! initialization through breeding, scoring and constant polishing. The
 //! tree operators number nodes in preorder, as gplearn does, and
-//! [`Genome::subtrees`] maps that numbering onto postfix slices, so
-//! crossover and subtree/hoist mutation are slice splices. An [`Expr`]
-//! tree is built only for the residual refit and for simplifying and
-//! reporting the winner.
+//! [`Genome::subtree`] maps a node's number onto its postfix slice
+//! without allocating, so crossover and subtree/hoist mutation are slice
+//! splices. An [`Expr`] tree is built only for the residual refit and for
+//! simplifying and reporting the winner.
 //!
 //! # Scoring and determinism
 //!
@@ -430,14 +430,6 @@ impl SymbolicRegressor {
         if stopped_by_threshold {
             dpr_telemetry::counter("gp.threshold_stops").inc(1);
         }
-        // The best-fitness trajectory: one sample per generation, so the
-        // histogram shows how fast the population converged.
-        let trajectory = dpr_telemetry::histogram("gp.best_error_trajectory");
-        for &err in &history {
-            if err.is_finite() {
-                trajectory.record(err);
-            }
-        }
         if lineage_on {
             dpr_evidence::record(dpr_evidence::Event::Lineage(dpr_evidence::Lineage {
                 subject: dpr_evidence::subject().unwrap_or_default(),
@@ -744,8 +736,7 @@ impl SymbolicRegressor {
     fn crossover(&mut self, recipient: &Genome, donor: &Genome) -> Genome {
         let at = self.rng.gen_range(0..recipient.size());
         let from = self.rng.gen_range(0..donor.size());
-        let graft = &donor.ops()[donor.subtrees()[from].clone()];
-        recipient.splice(recipient.subtrees()[at].clone(), graft)
+        recipient.splice(recipient.subtree(at), &donor.ops()[donor.subtree(from)])
     }
 
     /// Subtree mutation: replace a random node with a fresh grown tree.
@@ -758,17 +749,17 @@ impl SymbolicRegressor {
             &self.config.functions,
             self.config.const_range,
         );
-        parent.splice(parent.subtrees()[at].clone(), fresh.ops())
+        parent.splice(parent.subtree(at), fresh.ops())
     }
 
     /// Hoist mutation: replace a random node with one of its own subtrees,
     /// shrinking the individual (bloat control).
     fn hoist_mutation(&mut self, parent: &Genome) -> Genome {
-        let subtrees = parent.subtrees();
         let at = self.rng.gen_range(0..parent.size());
+        let outer = parent.subtree(at);
         // A node's descendants follow it in preorder.
-        let inner_at = at + self.rng.gen_range(0..subtrees[at].len());
-        parent.splice(subtrees[at].clone(), &parent.ops()[subtrees[inner_at].clone()])
+        let inner_at = at + self.rng.gen_range(0..outer.len());
+        parent.splice(outer, &parent.ops()[parent.subtree(inner_at)])
     }
 
     /// Point mutation: independently perturb constants and swap operators

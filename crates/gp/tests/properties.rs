@@ -151,6 +151,16 @@ proptest! {
         }
     }
 
+    /// The allocation-free single-node lookup the breeding operators use
+    /// agrees with the full preorder table at every node.
+    #[test]
+    fn subtree_lookup_matches_the_preorder_table(seed in any::<u64>(), depth in 1usize..=7) {
+        let g = arb_genome(seed, depth);
+        for (k, range) in g.subtrees().into_iter().enumerate() {
+            prop_assert_eq!(g.subtree(k), range, "node {}", k);
+        }
+    }
+
     /// `Const` ops appear in the tree's left-to-right leaf order, so the
     /// `k`-th constant position is the `k`-th constant leaf.
     #[test]

@@ -312,7 +312,6 @@ mod tests {
                 epoch_start_us: 250,
                 wall_us: 1000,
                 items: 64,
-                chunk_size: 8,
                 chunks: 8,
                 workers: vec![
                     WorkerStats {

@@ -1,26 +1,28 @@
 //! Deterministic data parallelism for the DP-Reverser stack.
 //!
-//! A std-only chunked fork-join with a rayon-shaped [`par_map`] API.
-//! The design goal is *bit-identical outputs regardless of thread
-//! count*: inputs are split into fixed, index-ordered chunks, workers pull
-//! chunks off an atomic cursor, and results are reassembled in input order
-//! before returning. As long as the mapped function is pure (no shared
-//! mutable state, no RNG), `par_map` with 1 thread and with N threads
-//! produce the same `Vec` — which is what lets callers fan seeded,
-//! independent work (e.g. one analysis per car in `dpr-bench`) across
-//! threads without perturbing a single result.
+//! A std-only fork-join with a rayon-shaped [`par_map`] API. The design
+//! goal is *bit-identical outputs regardless of thread count*: workers
+//! claim item indices one at a time off an atomic cursor, and results are
+//! reassembled in input order before returning. As long as the mapped
+//! function is pure (no shared mutable state, no RNG), `par_map` with 1
+//! thread and with N threads produce the same `Vec` — which is what lets
+//! callers fan seeded, independent work (one analysis per car in
+//! `dpr-bench`, one GP fit per sensor in the pipeline) across threads
+//! without perturbing a single result.
 //!
 //! # Scoped fan-out
 //!
 //! Each `par_map` call spawns `workers - 1` threads inside a
 //! [`std::thread::scope`] and **takes worker slot 0 on the calling
-//! thread**, so the caller starts claiming chunks while its siblings
+//! thread**, so the caller starts claiming items while its siblings
 //! spin up. The scope joins every worker before the call returns, so
 //! borrowed inputs work without `'static` bounds, a panic in any worker
 //! propagates to the caller with its original payload, and nested or
 //! concurrent calls each get their own threads. The work this crate
-//! fans out (one car's analysis per item) runs for hundreds of
-//! milliseconds, so a thread spawn per call is noise next to it.
+//! fans out (a car's analysis, a sensor's GP fit) runs for 100 ms or
+//! more per item, so a thread spawn per call and a cursor claim per item
+//! are noise next to it, and one-item claims keep the slow items from
+//! queueing behind each other on one worker.
 //!
 //! # Thread-count resolution
 //!
@@ -39,21 +41,21 @@
 //!
 //! Workers are named `gp-worker-N` and run inside the caller's scoped
 //! telemetry registry, log context and span stack (all thread-local, so
-//! each spawned thread re-enters them). Every claimed chunk is timed
-//! under a `par.chunk` span nested under the caller's open spans — on
-//! the inline path too — so a span's path never depends on which thread
-//! ran it or how many threads there were. Metrics recorded by the mapped
-//! function land in the calling run's registry, not the process-wide
-//! global one.
+//! each spawned thread re-enters them). Every claimed item is timed
+//! under a `par.chunk` span nested under the caller's open spans — the
+//! inline path times its whole input as one — so a span's path never
+//! depends on which thread ran it or how many threads there were.
+//! Metrics recorded by the mapped function land in the calling run's
+//! registry, not the process-wide global one.
 //!
 //! Every call additionally records a `dpr_prof::CallProfile` — per-worker
-//! busy/wait/idle microseconds, chunk geometry, thread spawn and join
+//! busy/wait/idle microseconds, items claimed, thread spawn and join
 //! latency — into the process-wide profile store, and emits `par.*`
 //! metrics (see the DESIGN.md taxonomy) into the caller's registry.
 //! Allocation attribution rides along when `DPR_PROF=1` and the binary
 //! installs [`dpr_prof::alloc::CountingAlloc`]. Profiling never touches
-//! the data path: claims, chunking, and reassembly are identical with
-//! profiling on or off.
+//! the data path: claims and reassembly are identical with profiling on
+//! or off.
 //!
 //! # Example
 //!
@@ -89,7 +91,7 @@ pub fn threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A chunked fork-join over scoped threads.
+/// A fork-join over scoped threads.
 ///
 /// The pool handle is a configuration object (just a worker count).
 /// Each [`par_map`](Pool::par_map) call spawns its own `gp-worker-N`
@@ -139,14 +141,13 @@ impl Pool {
             return run_inline(items, f, started);
         }
 
-        // Chunks several times smaller than a worker's fair share keep the
-        // workers load-balanced when item costs vary (cars differ wildly
-        // in size) without paying cursor contention per item.
-        let chunk = n.div_ceil(workers * 4).max(1);
-        let n_chunks = n.div_ceil(chunk);
-        let mut outcome = pool::run(items, &f, chunk, n_chunks, workers, started);
+        // Workers claim one item at a time: every caller fans out items
+        // of 100 ms or more (cars, sensors), so a cursor claim per item
+        // is free, and claiming several at once would serialize the
+        // slow ones behind each other.
+        let mut outcome = pool::run(items, &f, workers, started);
 
-        let profile = finalize_profile(started, n, chunk, n_chunks, &outcome.workers, prof_on);
+        let profile = finalize_profile(started, n, &outcome.workers, prof_on);
         emit_call_metrics(&profile, prof_on);
         dpr_prof::record_call(profile, started);
 
@@ -154,12 +155,8 @@ impl Pool {
             std::panic::resume_unwind(payload);
         }
 
-        outcome.chunks.sort_unstable_by_key(|(c, _)| *c);
-        outcome
-            .chunks
-            .into_iter()
-            .flat_map(|(_, out)| out)
-            .collect()
+        outcome.done.sort_unstable_by_key(|(i, _)| *i);
+        outcome.done.into_iter().map(|(_, out)| out).collect()
     }
 }
 
@@ -192,7 +189,6 @@ where
         epoch_start_us: registry_start_us(started),
         wall_us,
         items: n as u64,
-        chunk_size: n as u64,
         chunks: u64::from(n > 0),
         workers: vec![WorkerStats {
             worker: 0,
@@ -215,13 +211,11 @@ where
 ///
 /// `busy` and `wait` are measured directly; `idle` is the per-worker
 /// remainder of the call's wall time (the thread-spawn gap before the
-/// worker's first claim, the tail after its last chunk while stragglers
+/// worker's first claim, the tail after its last item while stragglers
 /// finish, and the join), saturating against clock-read jitter.
 fn finalize_profile(
     started: Instant,
     n: usize,
-    chunk: usize,
-    n_chunks: usize,
     raw: &[pool::RawWorker],
     prof_on: bool,
 ) -> CallProfile {
@@ -239,7 +233,7 @@ fn finalize_profile(
                 busy_us: r.busy_us,
                 wait_us: r.wait_us,
                 idle_us: wall_us.saturating_sub(r.busy_us + r.wait_us),
-                chunks: r.chunks,
+                chunks: r.items,
                 items: r.items,
                 allocs: if prof_on { r.allocs } else { 0 },
                 alloc_bytes: if prof_on { r.alloc_bytes } else { 0 },
@@ -251,8 +245,7 @@ fn finalize_profile(
         epoch_start_us: registry_start_us(started),
         wall_us,
         items: n as u64,
-        chunk_size: chunk as u64,
-        chunks: n_chunks as u64,
+        chunks: n as u64,
         workers: stats,
         spinup_us,
         teardown_us: wall_us.saturating_sub(last_exit_us),
@@ -273,7 +266,6 @@ fn emit_call_metrics(profile: &CallProfile, prof_on: bool) {
         dpr_telemetry::counter("par.busy_us").inc(profile.busy_us());
         dpr_telemetry::counter("par.wait_us").inc(profile.wait_us());
         dpr_telemetry::counter("par.idle_us").inc(profile.idle_us());
-        dpr_telemetry::histogram("par.chunk_size").record(profile.chunk_size as f64);
         dpr_telemetry::histogram("par.spinup_us").record(profile.spinup_us as f64);
         dpr_telemetry::histogram("par.teardown_us").record(profile.teardown_us as f64);
         dpr_telemetry::histogram("par.utilization").record(profile.utilization() * 100.0);

@@ -2,7 +2,7 @@
 //!
 //! Each call spawns `workers - 1` scoped threads (`gp-worker-N`) and
 //! takes worker slot 0 on the calling thread, so the caller starts
-//! claiming chunks while its siblings spin up. Every worker pulls chunk
+//! claiming items while its siblings spin up. Every worker pulls item
 //! indices off one atomic cursor until none remain. The scope joins all
 //! of them before the call returns, which is what lets the workers
 //! borrow the caller's items and closure without `'static` bounds.
@@ -23,11 +23,9 @@ pub(crate) struct RawWorker {
     pub(crate) exit_us: u64,
     /// Microseconds inside the mapped function.
     pub(crate) busy_us: u64,
-    /// Microseconds claiming chunks and storing their results.
+    /// Microseconds claiming items and storing their results.
     pub(crate) wait_us: u64,
-    /// Chunks claimed.
-    pub(crate) chunks: u64,
-    /// Items mapped.
+    /// Items claimed and mapped.
     pub(crate) items: u64,
     /// Allocations made on this thread during the job (cumulative-delta
     /// from the counting allocator; zero when it is off or absent).
@@ -38,8 +36,9 @@ pub(crate) struct RawWorker {
 
 /// What [`run`] hands back to the caller.
 pub(crate) struct Outcome<R> {
-    /// Every finished chunk with its index, in no particular order.
-    pub(crate) chunks: Vec<(usize, Vec<R>)>,
+    /// Every finished item's result with its index, in no particular
+    /// order.
+    pub(crate) done: Vec<(usize, R)>,
     /// One sample per worker slot; a worker that panicked reports zeros.
     pub(crate) workers: Vec<RawWorker>,
     /// The first worker panic, if any; the caller resumes it after
@@ -51,22 +50,13 @@ pub(crate) struct Outcome<R> {
 struct Job<'a, T, F> {
     items: &'a [T],
     f: &'a F,
-    chunk: usize,
-    n_chunks: usize,
     cursor: AtomicUsize,
     started: Instant,
 }
 
-/// Maps `f` over `items` in `n_chunks` chunks of `chunk` items on
-/// `workers` threads, the caller included, and joins them all.
-pub(crate) fn run<T, R, F>(
-    items: &[T],
-    f: &F,
-    chunk: usize,
-    n_chunks: usize,
-    workers: usize,
-    started: Instant,
-) -> Outcome<R>
+/// Maps `f` over `items` on `workers` threads, the caller included,
+/// and joins them all.
+pub(crate) fn run<T, R, F>(items: &[T], f: &F, workers: usize, started: Instant) -> Outcome<R>
 where
     T: Sync,
     R: Send,
@@ -75,8 +65,6 @@ where
     let job = Job {
         items,
         f,
-        chunk,
-        n_chunks,
         cursor: AtomicUsize::new(0),
         started,
     };
@@ -97,7 +85,7 @@ where
                         // so without this hand-off every record emitted
                         // inside the mapped function would lose its run
                         // attribution, and span paths would depend on
-                        // which thread ran a chunk.
+                        // which thread ran an item.
                         dpr_log::with_context(log_context, || {
                             dpr_telemetry::scoped(registry, || {
                                 dpr_telemetry::with_parents(spans, || work(job))
@@ -111,15 +99,15 @@ where
         // call profile recorded before any panic reaches the caller.
         let caller = catch_unwind(AssertUnwindSafe(|| work(&job)));
         let mut outcome = Outcome {
-            chunks: Vec::with_capacity(n_chunks),
+            done: Vec::with_capacity(items.len()),
             workers: Vec::with_capacity(workers),
             panic: None,
         };
         for result in std::iter::once(caller).chain(handles.into_iter().map(|h| h.join())) {
             match result {
-                Ok((raw, chunks)) => {
+                Ok((raw, done)) => {
                     outcome.workers.push(raw);
-                    outcome.chunks.extend(chunks);
+                    outcome.done.extend(done);
                 }
                 Err(payload) => {
                     outcome.workers.push(RawWorker::default());
@@ -131,10 +119,10 @@ where
     })
 }
 
-/// One worker's share of a call: claim chunks off the cursor until none
+/// One worker's share of a call: claim items off the cursor until none
 /// remain, timing every phase. `wait` is cursor-claim plus result-store
 /// time; `busy` is the mapped function.
-fn work<T, R, F>(job: &Job<'_, T, F>) -> (RawWorker, Vec<(usize, Vec<R>)>)
+fn work<T, R, F>(job: &Job<'_, T, F>) -> (RawWorker, Vec<(usize, R)>)
 where
     F: Fn(&T) -> R,
 {
@@ -143,30 +131,26 @@ where
     let mut busy = Duration::ZERO;
     let mut wait = Duration::ZERO;
     let mut done = Vec::new();
-    let mut items = 0u64;
 
     loop {
         let claim_start = Instant::now();
         // Relaxed: the cursor hands out unique indices and publishes no
         // other data; results reach the caller through the join.
-        let c = job.cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= job.n_chunks {
+        let i = job.cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = job.items.get(i) else {
             wait += claim_start.elapsed();
             break;
-        }
-        let start = c * job.chunk;
-        let end = (start + job.chunk).min(job.items.len());
+        };
         let claimed = Instant::now();
         wait += claimed - claim_start;
-        let out: Vec<R> = {
+        let out = {
             let _span = dpr_telemetry::Span::enter("par.chunk");
-            job.items[start..end].iter().map(job.f).collect()
+            (job.f)(item)
         };
         let mapped = Instant::now();
         busy += mapped - claimed;
-        done.push((c, out));
+        done.push((i, out));
         wait += mapped.elapsed();
-        items += (end - start) as u64;
     }
 
     let alloc = dpr_prof::alloc::thread_alloc_stats().since(alloc_before);
@@ -175,8 +159,7 @@ where
         exit_us: job.started.elapsed().as_micros() as u64,
         busy_us: busy.as_micros() as u64,
         wait_us: wait.as_micros() as u64,
-        chunks: done.len() as u64,
-        items,
+        items: done.len() as u64,
         allocs: alloc.allocs,
         alloc_bytes: alloc.bytes,
     };

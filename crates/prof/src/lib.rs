@@ -2,7 +2,7 @@
 //!
 //! `dpr-prof` is the measurement layer underneath `dpr-par`: the pool
 //! reports one [`CallProfile`] per `par_map` call (per-worker busy /
-//! chunk-wait / idle accounting, chunk geometry, thread spawn and join
+//! claim-wait / idle accounting, items claimed, thread spawn and join
 //! cost), and this crate aggregates them into a process-wide store that
 //! the observability stack reads back out — `GET /profile` on the
 //! metrics server and utilization counter tracks in the Chrome trace
@@ -14,12 +14,12 @@
 //! For each worker of a call:
 //!
 //! * **busy** — time inside the caller's mapped function,
-//! * **wait** — time spent claiming chunks off the shared cursor and
-//!   storing finished chunks (synchronization),
+//! * **wait** — time spent claiming items off the shared cursor and
+//!   storing their results (synchronization),
 //! * **idle** — everything else inside the call: the gap between call
 //!   start and the worker's first instruction (thread-spawn latency,
 //!   dominated by OS thread creation and scheduling) and the tail
-//!   between a worker running out of chunks and the call's join.
+//!   between a worker running out of items and the call's join.
 //!
 //! The invariant `busy + wait + idle ≈ wall` holds per worker within
 //! clock-read jitter; `crates/par/tests/accounting.rs` property-tests
@@ -40,8 +40,8 @@
 //!
 //! # Determinism
 //!
-//! Profiling never touches the data path: the pool's claims, chunking,
-//! and reassembly are identical with `DPR_PROF` on or off, and
+//! Profiling never touches the data path: the pool's claims and
+//! reassembly are identical with `DPR_PROF` on or off, and
 //! `tests/prof_identity.rs` asserts byte-identical pipeline output both
 //! ways. Only *time-valued* telemetry differs, which the determinism
 //! suite already strips.

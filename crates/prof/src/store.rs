@@ -17,13 +17,13 @@ pub struct WorkerStats {
     pub worker: u64,
     /// Microseconds inside the caller's mapped function.
     pub busy_us: u64,
-    /// Microseconds claiming chunks and storing results (synchronization).
+    /// Microseconds claiming items and storing results (synchronization).
     pub wait_us: u64,
     /// Microseconds neither busy nor waiting: thread-spawn latency before
-    /// the worker's first claim plus the tail after its last chunk while
+    /// the worker's first claim plus the tail after its last item while
     /// slower siblings finish.
     pub idle_us: u64,
-    /// Chunks this worker claimed.
+    /// Claims this worker made (one item each; one for an inline call).
     pub chunks: u64,
     /// Items this worker mapped.
     pub items: u64,
@@ -54,9 +54,7 @@ pub struct CallProfile {
     pub wall_us: u64,
     /// Items mapped.
     pub items: u64,
-    /// Chunk size the pool chose.
-    pub chunk_size: u64,
-    /// Number of chunks.
+    /// Number of claims (one item each; one for an inline call).
     pub chunks: u64,
     /// Workers that participated (empty for inline single-thread calls).
     pub workers: Vec<WorkerStats>,
@@ -76,7 +74,7 @@ impl CallProfile {
         self.workers.iter().map(|w| w.busy_us).sum()
     }
 
-    /// Total chunk-wait microseconds across workers.
+    /// Total claim-wait microseconds across workers.
     pub fn wait_us(&self) -> u64 {
         self.workers.iter().map(|w| w.wait_us).sum()
     }
@@ -185,7 +183,7 @@ pub struct LabelSummary {
     pub wall_us: u64,
     /// Σ busy worker-time.
     pub busy_us: u64,
-    /// Σ chunk-wait worker-time.
+    /// Σ claim-wait worker-time.
     pub wait_us: u64,
     /// Σ idle worker-time.
     pub idle_us: u64,
@@ -195,7 +193,7 @@ pub struct LabelSummary {
     pub teardown_us: u64,
     /// Σ items mapped.
     pub items: u64,
-    /// Σ chunks claimed.
+    /// Σ claims made.
     pub chunks: u64,
     /// Σ allocations attributed to workers.
     pub allocs: u64,
@@ -322,7 +320,6 @@ mod tests {
             label: label.to_string(),
             wall_us: wall,
             items: 100,
-            chunk_size: 13,
             chunks: 8,
             workers: busy
                 .iter()

@@ -1,12 +1,14 @@
-//! Regression test: the per-car fan-out is bit-identical at any width,
-//! and pinned to checked-in golden output.
+//! Regression test: the per-car and per-sensor fan-outs are
+//! bit-identical at any width, and pinned to checked-in golden output.
 //!
 //! * Cars M and O are analyzed through `dpr_par::Pool::new(w).par_map`
 //!   at widths 1, 2 and `DPR_THREADS` (4 when unset), the same per-car
-//!   fan-out `dpr-bench` uses. Every width must give each car the
-//!   width-1 `ReverseEngineeringResult`, GP error trajectories and
-//!   telemetry counters. The car list is repeated until it has at least
-//!   `w` entries, so every width really runs `w` workers.
+//!   fan-out `dpr-bench` uses, with `DPR_THREADS` set to `w` so each
+//!   analysis also fits its sensors on `w` threads. Every width must give
+//!   each car the width-1 `ReverseEngineeringResult`, GP error
+//!   trajectories and telemetry counters. The car list is repeated until
+//!   it has at least `w` entries, so every width really runs `w` workers.
+//!   The test owns `DPR_THREADS`, so it is the binary's only test.
 //! * The canonical result JSON (trace zeroed) of each car must equal
 //!   `tests/golden/car_<id>.json` byte for byte, so a change that moves
 //!   every width in step still fails here. If the change to the
@@ -103,8 +105,9 @@ fn check_golden(id: CarId, json: &str) {
 
 #[test]
 fn analyze_is_bit_identical_across_thread_counts() {
-    let widest = std::env::var("DPR_THREADS")
-        .ok()
+    let restore = std::env::var(dpr_par::THREADS_ENV).ok();
+    let widest = restore
+        .as_deref()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(4)
         .max(1);
@@ -120,6 +123,8 @@ fn analyze_is_bit_identical_across_thread_counts() {
 
     let mut reference: Vec<(ReverseEngineeringResult, MetricsSnapshot)> = Vec::new();
     for width in widths {
+        // The inner per-sensor fan-out reads its width from the variable.
+        std::env::set_var(dpr_par::THREADS_ENV, width.to_string());
         let jobs: Vec<usize> = (0..cars.len().max(width)).map(|i| i % cars.len()).collect();
         let runs = dpr_par::Pool::new(width).par_map(&jobs, |&car| {
             let (_, seed, capture) = &cars[car];
@@ -141,6 +146,10 @@ fn analyze_is_bit_identical_across_thread_counts() {
                 "{id:?}: telemetry (GP error trajectories, counters) differs at width {width}"
             );
         }
+    }
+    match restore {
+        Some(v) => std::env::set_var(dpr_par::THREADS_ENV, v),
+        None => std::env::remove_var(dpr_par::THREADS_ENV),
     }
 
     for ((id, _, _), (result, metrics)) in cars.iter().zip(&reference) {
