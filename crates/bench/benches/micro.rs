@@ -14,12 +14,14 @@ use std::time::{Duration, Instant};
 use dpr_baselines::{LinearRegression, PolynomialFit, Regressor};
 use dpr_can::Micros;
 use dpr_cps::{plan_route, PlanStrategy};
+use dpr_gp::dedup::Dedup;
 use dpr_gp::expr::{BinaryOp, Expr, UnaryOp};
 use dpr_gp::{
     BatchScratch, Columns, CompiledExpr, Dataset, FunctionSet, Genome, GpConfig, Metric,
     SymbolicRegressor,
 };
 use dpr_ocr::{mad_inliers, OcrChannel};
+use dpr_telemetry::json::Value;
 use dpr_transport::isotp::IsoTpStreamDecoder;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,9 +79,13 @@ fn bench_compiled_eval(c: &mut Criterion) {
     });
     group.bench_function("compiled_bytecode", |b| {
         let mut scratch = BatchScratch::new();
+        let mut program = CompiledExpr::default();
         b.iter(|| {
             pop.iter()
-                .map(|g| black_box(g).compile().error_on(&cols, metric, &mut scratch))
+                .map(|g| {
+                    black_box(g).compile_into(&mut program);
+                    program.error_on(&cols, metric, &mut scratch)
+                })
                 .sum::<f64>()
         })
     });
@@ -131,13 +137,16 @@ fn emit_gp_json(_c: &mut Criterion) {
                 .sum::<f64>(),
         );
     }));
+    // Every compiled side recompiles into one program buffer, as the
+    // engine does.
     let mut scratch = BatchScratch::new();
+    let mut program = CompiledExpr::default();
+    let mut score = |g: &Genome| {
+        g.compile_into(&mut program);
+        program.error_on(&cols, metric, &mut scratch)
+    };
     let compiled = rate(time_passes(min, || {
-        black_box(
-            pop.iter()
-                .map(|g| g.compile().error_on(&cols, metric, &mut scratch))
-                .sum::<f64>(),
-        );
+        black_box(pop.iter().map(&mut score).sum::<f64>());
     }));
 
     // Superinstruction speedup: the same precompiled programs with and
@@ -180,9 +189,10 @@ fn emit_gp_json(_c: &mut Criterion) {
     // regime breeding actually produces (clone-heavy late generations).
     // Both sides start from genomes, as the engine does: without dedup
     // every genome is compiled and scored; with it the genomes are
-    // grouped and one representative per group is compiled and scored.
-    // The dedup side pays for grouping inside the timed pass, so the
-    // ratio is honest about bookkeeping overhead.
+    // hashed, grouped by the engine's `Dedup` table, and one
+    // representative per group is compiled and scored. The dedup side
+    // pays for hashing and grouping inside the timed pass, so the ratio
+    // is honest about bookkeeping overhead.
     let dup_share = 0.5;
     let duplicated: Vec<&Genome> = (0..formula_pop.len() * 2)
         .map(|i| &formula_pop[i % formula_pop.len()])
@@ -194,24 +204,20 @@ fn emit_gp_json(_c: &mut Criterion) {
     let no_dedup = (0..3)
         .map(|_| {
             dup_rate(time_passes(min, || {
-                black_box(
-                    duplicated
-                        .iter()
-                        .map(|g| g.compile().error_on(&cols, metric, &mut scratch))
-                        .sum::<f64>(),
-                );
+                black_box(duplicated.iter().map(|g| score(g)).sum::<f64>());
             }))
         })
         .fold(0.0f64, f64::max);
+    let mut dedup = Dedup::new();
+    let (mut hashes, mut rep_errors) = (Vec::new(), Vec::new());
     let with_dedup = (0..3)
         .map(|_| {
             dup_rate(time_passes(min, || {
-                let groups = dpr_gp::dedup::group(&duplicated);
-                let rep_errors: Vec<f64> = groups
-                    .reps
-                    .iter()
-                    .map(|&r| duplicated[r].compile().error_on(&cols, metric, &mut scratch))
-                    .collect();
+                hashes.clear();
+                hashes.extend(duplicated.iter().map(|g| dpr_gp::dedup::hash(g.ops())));
+                let groups = dedup.group(&hashes, |i| duplicated[i].ops());
+                rep_errors.clear();
+                rep_errors.extend(groups.reps.iter().map(|&r| score(duplicated[r])));
                 black_box(
                     groups
                         .assign
@@ -223,35 +229,32 @@ fn emit_gp_json(_c: &mut Criterion) {
         })
         .fold(0.0f64, f64::max);
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"gp_scoring\",\n",
-            "  \"quick\": {quick},\n",
-            "  \"population\": {pop},\n",
-            "  \"rows\": {rows},\n",
-            "  \"recursive_evals_per_sec\": {recursive:.0},\n",
-            "  \"compiled_evals_per_sec\": {compiled:.0},\n",
-            "  \"compiled_speedup\": {cs:.2},\n",
-            "  \"superinstruction_speedup\": {ss:.2},\n",
-            "  \"dedup_duplicate_share\": {ds:.2},\n",
-            "  \"dedup_speedup\": {dds:.2}\n",
-            "}}\n"
-        ),
-        quick = quick,
-        pop = pop.len(),
-        rows = data.len(),
-        recursive = recursive,
-        compiled = compiled,
-        cs = compiled / recursive,
-        ss = fused_rate / unfused_rate,
-        ds = dup_share,
-        dds = with_dedup / no_dedup,
+    let round2 = |x: f64| Value::Float((x * 100.0).round() / 100.0);
+    let per_sec = |x: f64| Value::UInt(x.round() as u64);
+    let doc = Value::Object(
+        [
+            ("bench", Value::Str("gp_scoring".to_string())),
+            ("quick", Value::Bool(quick)),
+            ("population", Value::UInt(pop.len() as u64)),
+            ("rows", Value::UInt(data.len() as u64)),
+            ("recursive_evals_per_sec", per_sec(recursive)),
+            ("compiled_evals_per_sec", per_sec(compiled)),
+            ("compiled_speedup", round2(compiled / recursive)),
+            (
+                "superinstruction_speedup",
+                round2(fused_rate / unfused_rate),
+            ),
+            ("dedup_duplicate_share", round2(dup_share)),
+            ("dedup_speedup", round2(with_dedup / no_dedup)),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect(),
     );
     let path = std::env::var("DPR_BENCH_JSON").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gp.json").to_string()
     });
-    std::fs::write(&path, &json).expect("write BENCH_gp.json");
+    std::fs::write(&path, doc.to_json() + "\n").expect("write BENCH_gp.json");
     println!(
         "gp scoring: compiled {:.1}x vs recursive, superinstructions {:.2}x, \
          dedup {:.2}x at {dup_share:.0}% duplicates — wrote {path}",

@@ -1,18 +1,20 @@
 //! Programs as flat postfix bytecode: the GP individual and its scoring
 //! form.
 //!
-//! A [`Genome`] is what the engine breeds: an expression stored as one
-//! contiguous `Vec` of the four plain postfix [`Op`]s, one op per tree
-//! node, as gplearn stores its programs as flat lists. A subtree is a
-//! contiguous slice, so crossover and subtree/hoist mutation are slice
-//! splices, point mutation and constant polishing edit ops in place,
-//! size is the length and depth one stack scan. The random generators
-//! emit postfix directly. [`Expr`] trees appear only at the edges: the
-//! residual refit, simplification and display of the winner, and the
-//! tests' oracle.
+//! A [`Genome`] is an expression stored as one contiguous `Vec` of the
+//! four plain postfix [`Op`]s, one op per tree node, as gplearn stores
+//! its programs as flat lists. A subtree is a contiguous slice, so
+//! crossover and subtree/hoist mutation are slice splices, point
+//! mutation and constant polishing edit ops in place, and size is the
+//! length. Subtree lookup, depth and the preorder walk work on plain op
+//! slices and allocate nothing, so the engine runs them directly on the
+//! generation buffer its children are written into. The random
+//! generators emit postfix directly. [`Expr`] trees appear only at the
+//! edges: the residual refit, simplification and display of the winner,
+//! and the tests' oracle.
 //!
 //! A [`CompiledExpr`] is what the engine scores: the genome's ops after a
-//! peephole pass ([`Genome::compile`]) that fuses the most common postfix
+//! peephole pass ([`Genome::compile_into`]) that fuses the most common postfix
 //! adjacencies into single *superinstructions*: `Var Var Bin`,
 //! `Var Const Bin`, `Const Var Bin`, `… Var Bin`, `… Const Bin`, and
 //! `Var Unary` each become one [`Op`]. GP trees are leaf-heavy, so fusion
@@ -51,7 +53,7 @@ use crate::{Dataset, Metric};
 ///
 /// The first four variants are the plain stack machine a [`Genome`]
 /// holds; the rest are fused superinstructions the peephole pass in
-/// [`Genome::compile`] substitutes for common adjacencies. In
+/// [`Genome::compile_into`] substitutes for common adjacencies. In
 /// the comments below, `v(i)` is input variable `i` (0.0 when out of
 /// range, matching [`Expr::eval`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -84,7 +86,8 @@ pub enum Op {
 ///
 /// Nodes are numbered in *preorder* (root, left subtree, right subtree),
 /// the numbering every tree operator draws from; [`subtree`](Self::subtree)
-/// and [`subtrees`](Self::subtrees) map it onto postfix ranges. Leaves
+/// maps it onto a postfix range and [`visit_preorder`](Self::visit_preorder)
+/// walks the nodes in that order. Leaves
 /// keep their left-to-right order in both forms, so the `k`-th `Const`
 /// op is the tree's `k`-th constant leaf.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,6 +138,7 @@ impl Genome {
 
     /// A random tree by the *full* method: every branch reaches exactly
     /// `depth`.
+    #[cfg(test)]
     pub(crate) fn random_full(
         rng: &mut StdRng,
         depth: usize,
@@ -161,6 +165,12 @@ impl Genome {
         Genome(ops)
     }
 
+    /// A genome holding a copy of `ops`, a complete postfix tree of
+    /// plain ops.
+    pub(crate) fn from_ops(ops: &[Op]) -> Genome {
+        Genome(ops.to_vec())
+    }
+
     /// The program, in evaluation order.
     pub fn ops(&self) -> &[Op] {
         &self.0
@@ -177,132 +187,133 @@ impl Genome {
 
     /// Tree depth (a leaf has depth 1).
     pub fn depth(&self) -> usize {
-        let mut stack: Vec<usize> = Vec::new();
-        for op in &self.0 {
-            let depth = match op {
-                Op::Unary(_) => stack.pop().expect("unary operand") + 1,
-                Op::Binary(_) => {
-                    let rhs = stack.pop().expect("binary rhs");
-                    stack.pop().expect("binary lhs").max(rhs) + 1
-                }
-                _ => 1,
-            };
-            stack.push(depth);
-        }
-        stack.pop().expect("a genome is one complete tree")
-    }
-
-    /// Every node's subtree as a postfix range, indexed by the node's
-    /// preorder number. Node `k`'s descendants are the entries right
-    /// after it, `subtrees()[k].len() - 1` of them.
-    pub fn subtrees(&self) -> Vec<Range<usize>> {
-        // Forward pass: where the subtree ending at each position starts.
-        let mut open = Vec::new();
-        let starts: Vec<usize> = self
-            .0
-            .iter()
-            .enumerate()
-            .map(|(end, op)| {
-                match op {
-                    Op::Unary(_) => {}
-                    Op::Binary(_) => {
-                        open.pop();
-                    }
-                    _ => open.push(end),
-                }
-                *open.last().expect("well-formed postfix")
-            })
-            .collect();
-        // Preorder walk: a node ends at `end`, its last child at
-        // `end - 1`, and a binary node's left child just before the
-        // right child starts.
-        let mut out = Vec::with_capacity(self.0.len());
-        let mut todo = vec![self.0.len() - 1];
-        while let Some(end) = todo.pop() {
-            out.push(starts[end]..end + 1);
-            match self.0[end] {
-                Op::Unary(_) => todo.push(end - 1),
-                Op::Binary(_) => todo.extend([end - 1, starts[end - 1] - 1]),
-                _ => {}
-            }
-        }
-        out
+        depth(&self.0)
     }
 
     /// Node `at`'s subtree as a postfix range, where `at` is a preorder
-    /// number: `subtrees()[at]` without building the whole table. Walks
-    /// down from the root; at a binary node it finds where the right
-    /// child starts by counting operands backwards from the node's end.
+    /// number. Allocates nothing.
     pub fn subtree(&self, at: usize) -> Range<usize> {
-        let (mut start, mut end, mut k) = (0, self.0.len() - 1, 0);
-        while k < at {
-            match self.0[end] {
-                Op::Unary(_) => {
-                    k += 1;
-                    end -= 1;
-                }
-                Op::Binary(_) => {
-                    let right = self.start_of(end - 1);
-                    let left_size = right - start;
-                    if at <= k + left_size {
-                        k += 1;
-                        end = right - 1;
-                    } else {
-                        k += 1 + left_size;
-                        start = right;
-                        end -= 1;
-                    }
-                }
-                _ => unreachable!("preorder number {at} is past the last node"),
-            }
-        }
-        start..end + 1
+        subtree(&self.0, at)
     }
 
-    /// Where the subtree ending at `end` starts.
-    fn start_of(&self, end: usize) -> usize {
-        let mut need = 1usize;
-        let mut i = end + 1;
-        while need > 0 {
-            i -= 1;
-            need = need - 1
-                + match self.0[i] {
-                    Op::Unary(_) => 1,
-                    Op::Binary(_) => 2,
-                    _ => 0,
-                };
-        }
-        i
-    }
-
-    /// A copy with the subtree at `at` replaced by the subtree `with`.
-    pub(crate) fn splice(&self, at: Range<usize>, with: &[Op]) -> Genome {
-        let mut ops = Vec::with_capacity(self.0.len() - at.len() + with.len());
-        ops.extend_from_slice(&self.0[..at.start]);
-        ops.extend_from_slice(with);
-        ops.extend_from_slice(&self.0[at.end..]);
-        Genome(ops)
+    /// Hands every node to `visit` in preorder, with the postfix
+    /// position of its op. `visit` may rewrite an op but must keep its
+    /// arity. Allocates nothing.
+    pub fn visit_preorder(&mut self, mut visit: impl FnMut(usize, &mut Op)) {
+        let root = self.0.len() - 1;
+        visit_preorder(&mut self.0, root, &mut visit);
     }
 
     /// Compiles for scoring, with superinstructions fused.
     pub fn compile(&self) -> CompiledExpr {
-        let mut ops = self.0.clone();
-        fuse(&mut ops);
-        CompiledExpr::new(ops)
+        let mut program = CompiledExpr::default();
+        self.compile_into(&mut program);
+        program
+    }
+
+    /// Compiles for scoring into `program`, reusing its buffer.
+    pub fn compile_into(&self, program: &mut CompiledExpr) {
+        program.compile_from(&self.0);
     }
 
     /// The plain one-op-per-node program, unfused. Exists for the
     /// bit-identity tests and the `superinstruction_speedup`
-    /// microbenchmark; the engine always uses [`compile`](Self::compile).
+    /// microbenchmark; the engine always fuses.
     pub fn compile_unfused(&self) -> CompiledExpr {
-        CompiledExpr::new(self.0.clone())
+        CompiledExpr {
+            max_stack: max_stack(&self.0),
+            ops: self.0.clone(),
+        }
+    }
+}
+
+/// Depth of a postfix program (a leaf has depth 1).
+pub(crate) fn depth(ops: &[Op]) -> usize {
+    depth_and_start(ops, ops.len() - 1).0
+}
+
+/// Depth and start of the subtree ending at `end`. The recursion follows
+/// the tree, so the call stack stands in for a heap-allocated one.
+fn depth_and_start(ops: &[Op], end: usize) -> (usize, usize) {
+    match ops[end] {
+        Op::Unary(_) => {
+            let (depth, start) = depth_and_start(ops, end - 1);
+            (depth + 1, start)
+        }
+        Op::Binary(_) => {
+            let (right, right_start) = depth_and_start(ops, end - 1);
+            let (left, start) = depth_and_start(ops, right_start - 1);
+            (left.max(right) + 1, start)
+        }
+        _ => (1, end),
+    }
+}
+
+/// Node `at`'s subtree as a postfix range, where `at` is a preorder
+/// number. Walks down from the root; at a binary node it finds where the
+/// right child starts by counting operands backwards from the node's end.
+pub(crate) fn subtree(ops: &[Op], at: usize) -> Range<usize> {
+    let (mut start, mut end, mut k) = (0, ops.len() - 1, 0);
+    while k < at {
+        match ops[end] {
+            Op::Unary(_) => {
+                k += 1;
+                end -= 1;
+            }
+            Op::Binary(_) => {
+                let right = start_of(ops, end - 1);
+                let left_size = right - start;
+                if at <= k + left_size {
+                    k += 1;
+                    end = right - 1;
+                } else {
+                    k += 1 + left_size;
+                    start = right;
+                    end -= 1;
+                }
+            }
+            _ => unreachable!("preorder number {at} is past the last node"),
+        }
+    }
+    start..end + 1
+}
+
+/// Where the subtree ending at `end` starts.
+fn start_of(ops: &[Op], end: usize) -> usize {
+    let mut need = 1usize;
+    let mut i = end + 1;
+    while need > 0 {
+        i -= 1;
+        need = need - 1
+            + match ops[i] {
+                Op::Unary(_) => 1,
+                Op::Binary(_) => 2,
+                _ => 0,
+            };
+    }
+    i
+}
+
+/// Visits the subtree ending at `end` in preorder: the node, then its
+/// left and right subtrees. A binary node's left child ends where its
+/// right child starts, found by counting operands backwards.
+pub(crate) fn visit_preorder(ops: &mut [Op], end: usize, visit: &mut impl FnMut(usize, &mut Op)) {
+    visit(end, &mut ops[end]);
+    match ops[end] {
+        Op::Unary(_) => visit_preorder(ops, end - 1, visit),
+        Op::Binary(_) => {
+            let right = start_of(ops, end - 1);
+            visit_preorder(ops, right - 1, visit);
+            visit_preorder(ops, end - 1, visit);
+        }
+        _ => {}
     }
 }
 
 /// Emits one random subtree in postfix. The RNG is drawn in tree order —
 /// the node's own choice, then its left and right subtrees — and the op
 /// is pushed after its operands.
-fn random_node(
+pub(crate) fn random_node(
     out: &mut Vec<Op>,
     rng: &mut StdRng,
     depth: usize,
@@ -340,32 +351,40 @@ fn round3(v: f64) -> f64 {
 /// A [`Genome`] compiled for scoring.
 ///
 /// Compile once with [`Genome::compile`], evaluate many times; the
-/// program is immutable and `Sync`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// program is immutable and `Sync`. [`Genome::compile_into`] recompiles
+/// into an existing program, reusing its buffer.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CompiledExpr {
     ops: Vec<Op>,
     max_stack: usize,
 }
 
-impl CompiledExpr {
-    /// Computes the exact peak stack depth by simulating pushes/pops.
-    fn new(ops: Vec<Op>) -> CompiledExpr {
-        let mut depth = 0usize;
-        let mut max_stack = 0usize;
-        for op in &ops {
-            match op {
-                Op::Const(_)
-                | Op::Var(_)
-                | Op::VarVar(..)
-                | Op::VarConst(..)
-                | Op::ConstVar(..)
-                | Op::VarUnary(..) => depth += 1,
-                Op::Unary(_) | Op::TopVar(..) | Op::TopConst(..) => {}
-                Op::Binary(_) => depth -= 1,
-            }
-            max_stack = max_stack.max(depth);
+/// The exact peak stack depth, by simulating pushes and pops.
+fn max_stack(ops: &[Op]) -> usize {
+    let mut depth = 0usize;
+    let mut max_stack = 0usize;
+    for op in ops {
+        match op {
+            Op::Const(_)
+            | Op::Var(_)
+            | Op::VarVar(..)
+            | Op::VarConst(..)
+            | Op::ConstVar(..)
+            | Op::VarUnary(..) => depth += 1,
+            Op::Unary(_) | Op::TopVar(..) | Op::TopConst(..) => {}
+            Op::Binary(_) => depth -= 1,
         }
-        CompiledExpr { ops, max_stack }
+        max_stack = max_stack.max(depth);
+    }
+    max_stack
+}
+
+impl CompiledExpr {
+    /// Replaces this program with the fused form of the plain postfix
+    /// `ops`, reusing the instruction buffer.
+    pub(crate) fn compile_from(&mut self, ops: &[Op]) {
+        fuse(ops, &mut self.ops);
+        self.max_stack = max_stack(&self.ops);
     }
 
     /// The program's instructions, in evaluation order.
@@ -577,9 +596,9 @@ fn metric_over_rows(metric: Metric, preds: &[f64], targets: &[f64]) -> f64 {
     }
 }
 
-/// The in-place peephole pass: rewrites leaf-adjacent `Binary`/`Unary`
-/// ops into fused superinstructions by inspecting the already-emitted
-/// tail of the output program.
+/// The peephole pass: copies `src` into `out`, rewriting leaf-adjacent
+/// `Binary`/`Unary` ops into fused superinstructions by inspecting the
+/// already-emitted tail of `out`.
 ///
 /// Soundness leans on a postfix invariant: the final op of any complete
 /// subexpression is its root, so if the last emitted op is a plain
@@ -588,54 +607,23 @@ fn metric_over_rows(metric: Metric, preds: &[f64], targets: &[f64]) -> f64 {
 /// rewrite only reorders nothing — operand evaluation order and every
 /// `apply` call are preserved exactly, which is what keeps fused
 /// programs bit-identical to unfused ones.
-fn fuse(ops: &mut Vec<Op>) {
-    let mut w = 0usize;
-    for r in 0..ops.len() {
-        let op = ops[r];
-        let fused = match op {
-            Op::Binary(b) => {
-                let pair = if w >= 2 { Some((ops[w - 2], ops[w - 1])) } else { None };
-                match pair {
-                    Some((Op::Var(x), Op::Var(y))) => {
-                        w -= 2;
-                        Op::VarVar(b, x, y)
-                    }
-                    Some((Op::Var(x), Op::Const(c))) => {
-                        w -= 2;
-                        Op::VarConst(b, x, c)
-                    }
-                    Some((Op::Const(c), Op::Var(x))) => {
-                        w -= 2;
-                        Op::ConstVar(b, c, x)
-                    }
-                    // Only the rhs is a leaf: fold it into the operator,
-                    // leaving the lhs value on the stack.
-                    _ => match (w >= 1).then(|| ops[w - 1]) {
-                        Some(Op::Var(x)) => {
-                            w -= 1;
-                            Op::TopVar(b, x)
-                        }
-                        Some(Op::Const(c)) => {
-                            w -= 1;
-                            Op::TopConst(b, c)
-                        }
-                        _ => op,
-                    },
-                }
-            }
-            Op::Unary(u) => match (w >= 1).then(|| ops[w - 1]) {
-                Some(Op::Var(x)) => {
-                    w -= 1;
-                    Op::VarUnary(u, x)
-                }
-                _ => op,
-            },
-            other => other,
+fn fuse(src: &[Op], out: &mut Vec<Op>) {
+    out.clear();
+    for &op in src {
+        let (fused, operands) = match (op, out.as_slice()) {
+            (Op::Binary(b), [.., Op::Var(x), Op::Var(y)]) => (Op::VarVar(b, *x, *y), 2),
+            (Op::Binary(b), [.., Op::Var(x), Op::Const(c)]) => (Op::VarConst(b, *x, *c), 2),
+            (Op::Binary(b), [.., Op::Const(c), Op::Var(x)]) => (Op::ConstVar(b, *c, *x), 2),
+            // Only the rhs is a leaf: fold it into the operator, leaving
+            // the lhs value on the stack.
+            (Op::Binary(b), [.., Op::Var(x)]) => (Op::TopVar(b, *x), 1),
+            (Op::Binary(b), [.., Op::Const(c)]) => (Op::TopConst(b, *c), 1),
+            (Op::Unary(u), [.., Op::Var(x)]) => (Op::VarUnary(u, *x), 1),
+            _ => (op, 0),
         };
-        ops[w] = fused;
-        w += 1;
+        out.truncate(out.len() - operands);
+        out.push(fused);
     }
-    ops.truncate(w);
 }
 
 /// A column-major view of a [`Dataset`], built once per fit so batch

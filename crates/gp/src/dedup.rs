@@ -5,30 +5,37 @@
 //! whose per-node coin flips all came up tails (probability `0.85^size`,
 //! substantial for small trees), and concentrated elites late in a run.
 //! The engine's fitness cache only catches children it *knows* were
-//! copied verbatim from a scored parent; this module catches the rest
-//! by hashing each pending child's [`Genome`] and scoring one
-//! representative per structural equivalence class.
+//! copied verbatim from a scored parent; this module catches the rest,
+//! so that one representative per structural equivalence class is
+//! scored.
 //!
-//! Determinism: grouping is pure bookkeeping. Representatives are
-//! chosen in input order, results are scattered back by index, and a
-//! duplicate's error is the *same `f64`* its representative's scoring
-//! produced — which is bit-for-bit what scoring the duplicate itself
-//! would have returned, since equal genomes compile to the same
-//! instruction sequence. `gp.dedup_hits` / `gp.dedup_distinct` counters
-//! depend only on population contents.
+//! The engine takes each pending child's [`hash`] as it writes the
+//! child, while its ops are still in cache, so there is no separate
+//! hashing pass over the population. [`Dedup::group`] then sorts the
+//! children into classes with one open-addressed `(hash, class)` table
+//! that is reused for every generation of a fit, and allocates nothing
+//! once warm.
+//!
+//! Determinism: grouping is pure bookkeeping. The hash only decides
+//! which earlier classes a genome is compared with; exact structural
+//! equality decides membership, so classes, representatives (first
+//! occurrence, in input order) and the `gp.dedup_hits` /
+//! `gp.dedup_distinct` counts are the same whatever the hash, and a
+//! collision can never merge distinct genomes. A duplicate's error is
+//! the *same `f64`* its representative's scoring produced, which is
+//! bit-for-bit what scoring the duplicate itself would have returned,
+//! since equal genomes compile to the same instruction sequence.
 //!
 //! Constants are compared by [`f64::to_bits`], not `==`: `-0.0` and
 //! `0.0` evaluate differently under some protected ops, and a NaN
 //! constant must still equal itself for grouping to be stable.
 
-use std::collections::HashMap;
-
-use crate::compile::{Genome, Op};
+use crate::compile::Op;
 
 /// The outcome of grouping a batch of genomes by structural equality.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DedupGroups {
-    /// Indices (into the grouped slice) of the representative — first —
+    /// Indices (into the grouped batch) of the representative — first —
     /// genome of each equivalence class, in first-seen order.
     pub reps: Vec<usize>,
     /// For each input genome, the index into [`reps`](Self::reps) of
@@ -43,69 +50,81 @@ impl DedupGroups {
     }
 }
 
-/// Groups `genomes` into structural equivalence classes.
-///
-/// Hash-bucketed (FNV-1a over the encoded ops) with a full structural
-/// equality check inside each bucket, so hash collisions can never
-/// merge distinct genomes. Cost is linear in total genome length.
-pub fn group(genomes: &[&Genome]) -> DedupGroups {
-    let mut reps: Vec<usize> = Vec::new();
-    let mut assign: Vec<u32> = Vec::with_capacity(genomes.len());
-    // hash → indices into `reps` whose genomes share it.
-    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::with_capacity(genomes.len());
-    for (i, genome) in genomes.iter().enumerate() {
-        let bucket = buckets.entry(structural_hash(genome.ops())).or_default();
-        let found = bucket
-            .iter()
-            .copied()
-            .find(|&g| structural_eq(genomes[reps[g as usize]].ops(), genome.ops()));
-        let class = found.unwrap_or_else(|| {
-            let g = reps.len() as u32;
-            reps.push(i);
-            bucket.push(g);
-            g
-        });
-        assign.push(class);
-    }
-    DedupGroups { reps, assign }
+/// Marks a free slot of the grouping table.
+const EMPTY: u32 = u32::MAX;
+
+/// Reusable grouping state: the open-addressed `(hash, class)` table
+/// and the [`DedupGroups`] it fills.
+#[derive(Debug, Default)]
+pub struct Dedup {
+    slots: Vec<(u64, u32)>,
+    groups: DedupGroups,
 }
 
-/// FNV-1a over a canonical byte encoding of each op.
-fn structural_hash(ops: &[Op]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h = OFFSET;
-    for op in ops {
-        match *op {
-            Op::Const(c) => {
-                eat(&mut h, 0);
-                for byte in c.to_bits().to_le_bytes() {
-                    eat(&mut h, byte);
+impl Dedup {
+    /// Empty grouping state; the table grows on first use.
+    pub fn new() -> Dedup {
+        Dedup::default()
+    }
+
+    /// Groups a batch of genomes into structural equivalence classes.
+    /// Genome `i` is `genome(i)`, with hash `hashes[i]` (normally
+    /// [`hash`] of its ops; any hash gives the same groups).
+    ///
+    /// Linear probing over a table at most half full, with an exact
+    /// structural comparison against each class whose hash matches.
+    pub fn group<'a>(
+        &mut self,
+        hashes: &[u64],
+        genome: impl Fn(usize) -> &'a [Op],
+    ) -> &DedupGroups {
+        let len = (2 * hashes.len())
+            .next_power_of_two()
+            .max(self.slots.len())
+            .max(16);
+        self.slots.clear();
+        self.slots.resize(len, (0, EMPTY));
+        // Index by the hash's high bits: its last step is a multiply,
+        // which carries every input bit upward.
+        let shift = u64::BITS - len.trailing_zeros();
+        let mask = len - 1;
+        let DedupGroups { reps, assign } = &mut self.groups;
+        reps.clear();
+        assign.clear();
+        for (i, &h) in hashes.iter().enumerate() {
+            let mut slot = (h >> shift) as usize;
+            let class = loop {
+                let (slot_hash, class) = self.slots[slot];
+                if class == EMPTY {
+                    let class = reps.len() as u32;
+                    reps.push(i);
+                    self.slots[slot] = (h, class);
+                    break class;
                 }
-            }
-            Op::Var(i) => {
-                eat(&mut h, 1);
-                for byte in i.to_le_bytes() {
-                    eat(&mut h, byte);
+                if slot_hash == h && structural_eq(genome(reps[class as usize]), genome(i)) {
+                    break class;
                 }
-            }
-            Op::Unary(u) => {
-                eat(&mut h, 2);
-                eat(&mut h, u as u8);
-            }
-            Op::Binary(b) => {
-                eat(&mut h, 3);
-                eat(&mut h, b as u8);
-            }
-            _ => unreachable!("a genome holds plain ops only"),
+                slot = (slot + 1) & mask;
+            };
+            assign.push(class);
         }
+        &self.groups
     }
-    h
 }
 
-fn eat(h: &mut u64, byte: u8) {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    *h ^= u64::from(byte);
-    *h = h.wrapping_mul(FNV_PRIME);
+/// A structural hash of a genome's ops, one multiply-rotate step per
+/// 64-bit word: a tag word per op, with the constant's bit pattern as a
+/// second word.
+pub fn hash(ops: &[Op]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    ops.iter().fold(0, |h, op| match *op {
+        Op::Const(c) => mix(mix(h, 0), c.to_bits()),
+        Op::Var(i) => mix(h, 1 | (u64::from(i) << 8)),
+        Op::Unary(u) => mix(h, 2 | ((u as u64) << 8)),
+        Op::Binary(b) => mix(h, 3 | ((b as u64) << 8)),
+        _ => unreachable!("a genome holds plain ops only"),
+    })
 }
 
 /// Structural equality: same ops in the same order, with constants
@@ -121,6 +140,7 @@ fn structural_eq(a: &[Op], b: &[Op]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::Genome;
     use crate::expr::{BinaryOp, Expr};
     use crate::FunctionSet;
     use rand::rngs::StdRng;
@@ -131,6 +151,11 @@ mod tests {
         (0..n)
             .map(|_| Genome::random_grow(&mut rng, 4, 2, &FunctionSet::full(), (-10.0, 10.0)))
             .collect()
+    }
+
+    fn group(genomes: &[&Genome]) -> DedupGroups {
+        let hashes: Vec<u64> = genomes.iter().map(|g| hash(g.ops())).collect();
+        Dedup::new().group(&hashes, |i| genomes[i].ops()).clone()
     }
 
     #[test]

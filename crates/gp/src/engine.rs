@@ -3,29 +3,42 @@
 //!
 //! # One program form
 //!
-//! Every individual is a [`Genome`], a flat postfix program, from
-//! initialization through breeding, scoring and constant polishing. The
-//! tree operators number nodes in preorder, as gplearn does, and
-//! [`Genome::subtree`] maps a node's number onto its postfix slice
-//! without allocating, so crossover and subtree/hoist mutation are slice
-//! splices. An [`Expr`] tree is built only for the residual refit and for
-//! simplifying and reporting the winner.
+//! Every individual is a flat postfix program, from initialization
+//! through breeding, scoring and constant polishing. The tree operators
+//! number nodes in preorder, as gplearn does, and the subtree lookup maps
+//! a node's number onto its postfix slice without allocating, so
+//! crossover and subtree/hoist mutation are slice splices and point
+//! mutation is a preorder walk that edits ops in place. An
+//! [`Expr`](crate::Expr) tree is built only for the residual refit and
+//! for simplifying and reporting the winner.
+//!
+//! # Generation buffers
+//!
+//! A generation is one flat op buffer plus offsets, with the scores
+//! beside it. A fit keeps two: children are written straight into the
+//! one the previous generation does not occupy, and the two are swapped.
+//! Elite, reproduction and depth-limit copies are slice copies, subtree
+//! mutation grows its fresh subtree in place, and a child's depth is one
+//! scan of the slice just written. With dedup's table, the pending
+//! lists and one reused [`CompiledExpr`] all kept for the whole fit, a
+//! warm generation allocates nothing (`crates/gp/tests/allocs.rs`
+//! bounds a paper-budget fit at 100 allocations per generation).
 //!
 //! # Scoring and determinism
 //!
 //! Each generation is bred first — all RNG draws happen here, selecting
 //! from the previous, fully-scored generation — and then scored in one
-//! pass by [`SymbolicRegressor::score_pending`]. Two mechanisms avoid
-//! re-scoring a program:
+//! pass by [`Scorer::score_pending`]. Two mechanisms avoid re-scoring a
+//! program:
 //!
 //! * the *fitness cache*: individuals carried over unchanged — the elite,
 //!   reproduction children, and depth-limit fallbacks — reuse their
 //!   parent's score (`gp.fitness_cache_hits`);
-//! * *dedup*: the remaining genomes are grouped by structure
-//!   ([`crate::dedup`]), and one representative per group is compiled
-//!   to a fused [`CompiledExpr`](crate::CompiledExpr) and batch-evaluated
-//!   over the column-major [`Columns`] view (`gp.dedup_hits`,
-//!   `gp.dedup_distinct`).
+//! * *dedup*: every other child is hashed as it is written, the pending
+//!   children are grouped by structure ([`crate::dedup`]), and one
+//!   representative per group is compiled to a fused [`CompiledExpr`]
+//!   and batch-evaluated over the column-major [`Columns`] view
+//!   (`gp.dedup_hits`, `gp.dedup_distinct`).
 //!
 //! Scoring is bit-identical to the recursive walker and draws no
 //! randomness, so a seed fixes the [`FittedModel`] bit for bit. A fit
@@ -39,8 +52,11 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::compile::{BatchScratch, Columns, Genome, Op};
-use crate::expr::{BinaryOp, Expr, UnaryOp};
+use crate::compile::{
+    depth, random_node, subtree, visit_preorder, BatchScratch, Columns, CompiledExpr, Genome, Op,
+};
+use crate::dedup::Dedup;
+use crate::expr::{BinaryOp, UnaryOp};
 use crate::model::FittedModel;
 use crate::scaling::ScalePlan;
 use crate::{Dataset, Metric};
@@ -179,12 +195,188 @@ pub struct GpReport {
     pub stopped_by_threshold: bool,
 }
 
+/// The fit's winner, taken out of the last generation for the polish
+/// and refit tail.
 struct Individual {
     genome: Genome,
     /// Raw metric error in scaled space (no parsimony).
     error: f64,
     /// Selection fitness: error plus parsimony penalty.
     fitness: f64,
+}
+
+/// One generation in one flat buffer: genome `i` is the postfix slice
+/// `ops[bounds[i]..bounds[i + 1]]`, with its scores beside it. A fit
+/// keeps two and swaps them each generation, breeding from one into the
+/// other, so once their buffers have grown a generation allocates
+/// nothing per child.
+struct Generation {
+    ops: Vec<Op>,
+    bounds: Vec<usize>,
+    /// Raw metric error in scaled space (no parsimony).
+    error: Vec<f64>,
+    /// Selection fitness: error plus parsimony penalty.
+    fitness: Vec<f64>,
+}
+
+impl Generation {
+    fn new() -> Generation {
+        Generation {
+            ops: Vec::new(),
+            bounds: vec![0],
+            error: Vec::new(),
+            fitness: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.error.len()
+    }
+
+    fn genome(&self, i: usize) -> &[Op] {
+        &self.ops[self.bounds[i]..self.bounds[i + 1]]
+    }
+
+    /// Where the genome being written starts.
+    fn open(&self) -> usize {
+        self.bounds[self.len()]
+    }
+
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.bounds.truncate(1);
+        self.error.clear();
+        self.fitness.clear();
+    }
+
+    /// Closes the genome written since the last push, with its
+    /// `(error, fitness)`.
+    fn push(&mut self, (error, fitness): (f64, f64)) {
+        self.bounds.push(self.ops.len());
+        self.error.push(error);
+        self.fitness.push(fitness);
+    }
+
+    /// The lowest error's index, the first one on ties.
+    fn best(&self) -> usize {
+        self.error
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
+            .map(|(i, _)| i)
+            .expect("population is non-empty")
+    }
+}
+
+/// Selection fitness: the error plus the parsimony penalty.
+fn fitness(parsimony: f64, error: f64, size: usize) -> f64 {
+    if error.is_finite() {
+        error + parsimony * size as f64
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// A fit's scoring state, reused by every generation and by the polish
+/// and refit tail, so scoring allocates only while its buffers grow.
+struct Scorer<'a> {
+    cols: &'a Columns,
+    metric: Metric,
+    parsimony: f64,
+    scratch: BatchScratch,
+    program: CompiledExpr,
+    dedup: Dedup,
+    /// The current generation's children that need scoring, in index
+    /// order, and each one's structural hash, taken as it was written.
+    pending: Vec<u32>,
+    hashes: Vec<u64>,
+    /// Logical row evaluations: pending programs × rows, dedup-invariant.
+    evaluations: u64,
+    cache_hits: u64,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(cols: &'a Columns, config: &GpConfig) -> Scorer<'a> {
+        Scorer {
+            cols,
+            metric: config.metric,
+            parsimony: config.parsimony,
+            scratch: BatchScratch::new(),
+            program: CompiledExpr::default(),
+            dedup: Dedup::new(),
+            pending: Vec::new(),
+            hashes: Vec::new(),
+            evaluations: 0,
+            cache_hits: 0,
+        }
+    }
+
+    /// Scores one program: compile, batch-evaluate, apply the parsimony
+    /// penalty. Used by the sequential tail (polish, refit) — population
+    /// scoring goes through [`Self::score_pending`].
+    fn evaluate(&mut self, ops: &[Op]) -> (f64, f64) {
+        self.evaluations += self.cols.n_rows() as u64;
+        self.program.compile_from(ops);
+        let error = self
+            .program
+            .error_on(self.cols, self.metric, &mut self.scratch);
+        (error, fitness(self.parsimony, error, ops.len()))
+    }
+
+    /// Closes the genome just written into `gen` as one to score, and
+    /// hashes it while its ops are still in cache.
+    fn defer(&mut self, gen: &mut Generation) {
+        self.pending.push(gen.len() as u32);
+        self.hashes.push(crate::dedup::hash(&gen.ops[gen.open()..]));
+        gen.push((f64::NAN, f64::NAN));
+    }
+
+    /// Scores the generation's deferred children.
+    ///
+    /// Children pushed with a score — individuals the breeding phase
+    /// copied over unchanged — are not re-scored. The deferred ones are
+    /// deduplicated by structure, and each distinct genome is compiled
+    /// and scored once.
+    ///
+    /// A duplicate reuses the bit-identical error its representative
+    /// computed, so dedup changes cost, never results. `evaluations`
+    /// stays the *logical* count (pending × rows); the physical saving
+    /// shows up in `gp.dedup_hits`.
+    fn score_pending(&mut self, gen: &mut Generation) {
+        let pending = self.pending.len();
+        self.evaluations += (pending * self.cols.n_rows()) as u64;
+        let hits = (gen.len() - pending) as u64;
+        if hits > 0 {
+            dpr_telemetry::counter("gp.fitness_cache_hits").inc(hits);
+            self.cache_hits += hits;
+        }
+
+        let ids = &self.pending;
+        let groups = self
+            .dedup
+            .group(&self.hashes, |p| gen.genome(ids[p] as usize));
+        if pending > 0 {
+            dpr_telemetry::counter("gp.dedup_distinct").inc(groups.reps.len() as u64);
+            if groups.hits() > 0 {
+                dpr_telemetry::counter("gp.dedup_hits").inc(groups.hits());
+            }
+        }
+        for &rep in &groups.reps {
+            let i = ids[rep] as usize;
+            self.program.compile_from(gen.genome(i));
+            gen.error[i] = self
+                .program
+                .error_on(self.cols, self.metric, &mut self.scratch);
+        }
+        for (&i, &class) in ids.iter().zip(&groups.assign) {
+            let i = i as usize;
+            let error = gen.error[ids[groups.reps[class as usize]] as usize];
+            gen.error[i] = error;
+            gen.fitness[i] = fitness(self.parsimony, error, gen.genome(i).len());
+        }
+        self.pending.clear();
+        self.hashes.clear();
+    }
 }
 
 /// How one individual of one generation was produced — the per-child
@@ -270,17 +462,11 @@ impl SymbolicRegressor {
         // produce bit-identical models.
         let lineage_on = dpr_evidence::active();
         let mut breeding: Vec<Vec<BreedRec>> = Vec::new();
-        let mut cache_hits: u64 = 0;
 
-        let mut scratch = BatchScratch::new();
-        let mut evaluations: u64 = 0;
-        let (mut population, init_recs) = self.init_population(
-            &cols,
-            &mut scratch,
-            &mut evaluations,
-            &mut cache_hits,
-            lineage_on,
-        );
+        let mut scorer = Scorer::new(&cols, &self.config);
+        let mut population = Generation::new();
+        let mut next = Generation::new();
+        let init_recs = self.init_population(&mut population, &mut scorer, lineage_on);
         if lineage_on {
             breeding.push(init_recs);
         }
@@ -291,34 +477,23 @@ impl SymbolicRegressor {
         for _gen in 0..self.config.max_generations {
             generations += 1;
             let best = population
+                .error
                 .iter()
-                .map(|i| i.error)
+                .copied()
                 .fold(f64::INFINITY, f64::min);
             history.push(best);
             if best <= self.config.stop_threshold {
                 stopped_by_threshold = true;
                 break;
             }
-            let (next, recs) = self.next_generation(
-                population,
-                &cols,
-                &mut scratch,
-                &mut evaluations,
-                &mut cache_hits,
-                lineage_on,
-            );
-            population = next;
+            let recs = self.next_generation(&population, &mut next, &mut scorer, lineage_on);
+            std::mem::swap(&mut population, &mut next);
             if lineage_on {
                 breeding.push(recs);
             }
         }
         // Record the final state's best as well.
-        let best_idx = population
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.error.total_cmp(&b.error))
-            .map(|(i, _)| i)
-            .expect("population is non-empty");
+        let best_idx = population.best();
         // Ancestry walk-back: from the winner's index in the final
         // generation, follow parent indices to generation 0. The result
         // reads oldest-first.
@@ -341,7 +516,11 @@ impl SymbolicRegressor {
             }
             steps.reverse();
         }
-        let mut best = population.swap_remove(best_idx);
+        let mut best = Individual {
+            genome: Genome::from_ops(population.genome(best_idx)),
+            error: population.error[best_idx],
+            fitness: population.fitness[best_idx],
+        };
         if let Some(&last) = history.last() {
             if best.error < last {
                 history.push(best.error);
@@ -362,7 +541,7 @@ impl SymbolicRegressor {
 
         // Constant polishing: hill-climb the winner's numeric leaves.
         let pre_polish = best.error;
-        self.polish(&mut best, &cols, &mut scratch, &mut evaluations);
+        self.polish(&mut best, &mut scorer);
         if lineage_on && best.error < pre_polish {
             post_step(&mut steps, "polish", pre_polish);
         }
@@ -376,7 +555,7 @@ impl SymbolicRegressor {
                 crate::refit::residual_refit(&winner, &scaled, self.config.metric)
             {
                 let corrected = Genome::from_expr(&corrected);
-                let (error, fitness) = self.evaluate(&corrected, &cols, &mut scratch, &mut evaluations);
+                let (error, fitness) = scorer.evaluate(corrected.ops());
                 if error < best.error {
                     if lineage_on {
                         post_step(&mut steps, "refit-residual", best.error);
@@ -389,7 +568,7 @@ impl SymbolicRegressor {
             }
             if let Some(candidate) = crate::refit::loworder_candidate(&scaled) {
                 let candidate = Genome::from_expr(&candidate);
-                let (error, fitness) = self.evaluate(&candidate, &cols, &mut scratch, &mut evaluations);
+                let (error, fitness) = scorer.evaluate(candidate.ops());
                 if error < best.error {
                     if lineage_on {
                         post_step(&mut steps, "refit-loworder", best.error);
@@ -403,12 +582,13 @@ impl SymbolicRegressor {
             // Polish again: grafted coefficients interact with the original
             // constants.
             let pre_polish = best.error;
-            self.polish(&mut best, &cols, &mut scratch, &mut evaluations);
+            self.polish(&mut best, &mut scorer);
             if lineage_on && best.error < pre_polish {
                 post_step(&mut steps, "polish", pre_polish);
             }
         }
 
+        let evaluations = scorer.evaluations;
         let expr = best.genome.to_expr().simplify();
         let model = FittedModel {
             expr,
@@ -436,7 +616,7 @@ impl SymbolicRegressor {
                 steps,
                 best_error_history: history.iter().map(|&e| dpr_evidence::finite(e)).collect(),
                 final_error: dpr_evidence::finite(train_error),
-                cache_hits,
+                cache_hits: scorer.cache_hits,
                 evaluations,
                 generations: generations as u32,
                 stopped_by_threshold,
@@ -453,103 +633,16 @@ impl SymbolicRegressor {
         }
     }
 
-    /// Scores one genome: compile, batch-evaluate, apply the parsimony
-    /// penalty. Used by the sequential tail (polish, refit) — population
-    /// scoring goes through [`Self::score_pending`].
-    fn evaluate(
-        &self,
-        genome: &Genome,
-        cols: &Columns,
-        scratch: &mut BatchScratch,
-        evaluations: &mut u64,
-    ) -> (f64, f64) {
-        *evaluations += cols.n_rows() as u64;
-        let error = genome.compile().error_on(cols, self.config.metric, scratch);
-        (error, self.fitness(error, genome))
-    }
-
-    /// Selection fitness: the error plus the parsimony penalty.
-    fn fitness(&self, error: f64, genome: &Genome) -> f64 {
-        if error.is_finite() {
-            error + self.config.parsimony * genome.size() as f64
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Turns bred genomes into scored individuals.
-    ///
-    /// Entries carrying a cached `(error, fitness)` — individuals the
-    /// breeding phase copied over unchanged — are not re-scored. The rest
-    /// are deduplicated by structure, and each distinct genome is compiled
-    /// and scored once with the fit's reusable `scratch`.
-    ///
-    /// A duplicate reuses the bit-identical error its representative
-    /// computed, so dedup changes cost, never results. `evaluations` stays
-    /// the *logical* count (pending × rows); the physical saving shows up
-    /// in `gp.dedup_hits`.
-    fn score_pending(
-        &self,
-        planned: Vec<(Genome, Option<(f64, f64)>)>,
-        cols: &Columns,
-        scratch: &mut BatchScratch,
-        evaluations: &mut u64,
-        cache_hits: &mut u64,
-    ) -> Vec<Individual> {
-        let pending: Vec<&Genome> = planned
-            .iter()
-            .filter(|(_, cached)| cached.is_none())
-            .map(|(genome, _)| genome)
-            .collect();
-        *evaluations += (pending.len() * cols.n_rows()) as u64;
-        let hits = (planned.len() - pending.len()) as u64;
-        if hits > 0 {
-            dpr_telemetry::counter("gp.fitness_cache_hits").inc(hits);
-            *cache_hits += hits;
-        }
-
-        let groups = crate::dedup::group(&pending);
-        if !pending.is_empty() {
-            dpr_telemetry::counter("gp.dedup_distinct").inc(groups.reps.len() as u64);
-            if groups.hits() > 0 {
-                dpr_telemetry::counter("gp.dedup_hits").inc(groups.hits());
-            }
-        }
-        let metric = self.config.metric;
-        let errors: Vec<f64> = groups
-            .reps
-            .iter()
-            .map(|&r| pending[r].compile().error_on(cols, metric, scratch))
-            .collect();
-
-        // Pending genomes are in index order, so fresh scores interleave
-        // back into the cached ones by consuming the assignments in
-        // sequence.
-        let mut assign = groups.assign.into_iter();
-        planned
-            .into_iter()
-            .map(|(genome, cached)| {
-                let (error, fitness) = cached.unwrap_or_else(|| {
-                    let class = assign.next().expect("one class per pending genome");
-                    let error = errors[class as usize];
-                    (error, self.fitness(error, &genome))
-                });
-                Individual { genome, error, fitness }
-            })
-            .collect()
-    }
-
+    /// Writes and scores generation 0 into `gen`.
     fn init_population(
         &mut self,
-        cols: &Columns,
-        scratch: &mut BatchScratch,
-        evaluations: &mut u64,
-        cache_hits: &mut u64,
+        gen: &mut Generation,
+        scorer: &mut Scorer,
         lineage: bool,
-    ) -> (Vec<Individual>, Vec<BreedRec>) {
+    ) -> Vec<BreedRec> {
         let n = self.config.population_size;
-        let n_vars = cols.n_vars();
-        let mut genomes = Vec::with_capacity(n);
+        let n_vars = scorer.cols.n_vars();
+        gen.clear();
         let mut recs = Vec::new();
 
         // Informed template seeding (~6% of the population): affine and
@@ -559,8 +652,8 @@ impl SymbolicRegressor {
         if self.config.seeded_init {
             let templates = n / 16;
             for _ in 0..templates {
-                let template = self.random_template(n_vars);
-                genomes.push(Genome::from_expr(&template));
+                self.write_template(&mut gen.ops, n_vars);
+                scorer.defer(gen);
                 if lineage {
                     recs.push(BreedRec::init("seed-template"));
                 }
@@ -570,117 +663,107 @@ impl SymbolicRegressor {
         // Ramped half-and-half for the rest. Generation happens first (all
         // RNG draws); scoring follows in one pass.
         let (lo, hi) = self.config.init_depth;
-        let (functions, const_range) = (&self.config.functions, self.config.const_range);
         let mut depth = lo;
-        while genomes.len() < n {
-            let full = genomes.len() % 2 == 0;
-            let generate = if full { Genome::random_full } else { Genome::random_grow };
-            genomes.push(generate(&mut self.rng, depth, n_vars, functions, const_range));
+        while gen.len() < n {
+            let full = gen.len().is_multiple_of(2);
+            random_node(
+                &mut gen.ops,
+                &mut self.rng,
+                depth,
+                full,
+                n_vars,
+                &self.config.functions,
+                self.config.const_range,
+            );
+            scorer.defer(gen);
             if lineage {
                 recs.push(BreedRec::init(if full { "init-full" } else { "init-grow" }));
             }
             depth = if depth >= hi { lo } else { depth + 1 };
         }
-        let pop = self.score_pending(
-            genomes.into_iter().map(|g| (g, None)).collect(),
-            cols,
-            scratch,
-            evaluations,
-            cache_hits,
-        );
-        (pop, recs)
+        scorer.score_pending(gen);
+        recs
     }
 
-    /// A random low-order template: `c0*Xi + c1`, `c0*Xi + c1*Xj + c2`, or
-    /// `c0*Xi*Xj + c1`.
-    fn random_template(&mut self, n_vars: usize) -> Expr {
+    /// Writes a random low-order template in postfix: `c0*Xi + c1`,
+    /// `c0*X0 + c1*X1 + c2`, or `c0*(X0*X1) + c1`. The RNG is drawn in
+    /// the tree's left-to-right leaf order.
+    fn write_template(&mut self, out: &mut Vec<Op>, n_vars: usize) {
+        let rng = &mut self.rng;
         let c = |rng: &mut StdRng| {
-            Expr::Const((rng.gen_range(-10.0..=10.0f64) * 1000.0).round() / 1000.0)
+            Op::Const((rng.gen_range(-10.0..=10.0f64) * 1000.0).round() / 1000.0)
         };
-        let var = |rng: &mut StdRng| Expr::Var(rng.gen_range(0..n_vars));
-        let mul = |a: Expr, b: Expr| Expr::Binary(BinaryOp::Mul, Box::new(a), Box::new(b));
-        let add = |a: Expr, b: Expr| Expr::Binary(BinaryOp::Add, Box::new(a), Box::new(b));
-        match self.rng.gen_range(0..3) {
-            0 => {
-                let t = mul(c(&mut self.rng), var(&mut self.rng));
-                add(t, c(&mut self.rng))
+        let (mul, add) = (Op::Binary(BinaryOp::Mul), Op::Binary(BinaryOp::Add));
+        match (rng.gen_range(0..3), n_vars > 1) {
+            (1, true) => {
+                let (c0, c1, c2) = (c(rng), c(rng), c(rng));
+                out.extend([c0, Op::Var(0), mul, c1, Op::Var(1), mul, add, c2, add]);
             }
-            1 if n_vars > 1 => {
-                let t0 = mul(c(&mut self.rng), Expr::Var(0));
-                let t1 = mul(c(&mut self.rng), Expr::Var(1));
-                add(add(t0, t1), c(&mut self.rng))
-            }
-            _ if n_vars > 1 => {
-                let t = mul(c(&mut self.rng), mul(Expr::Var(0), Expr::Var(1)));
-                add(t, c(&mut self.rng))
+            (2, true) => {
+                let (c0, c1) = (c(rng), c(rng));
+                out.extend([c0, Op::Var(0), Op::Var(1), mul, mul, c1, add]);
             }
             _ => {
-                let t = mul(c(&mut self.rng), var(&mut self.rng));
-                add(t, c(&mut self.rng))
+                let c0 = c(rng);
+                let x = Op::Var(rng.gen_range(0..n_vars) as u32);
+                let c1 = c(rng);
+                out.extend([c0, x, mul, c1, add]);
             }
         }
     }
 
-    /// Tournament selection, returning the winner's *index* so breeding can
-    /// record parent identities for the evidence ledger. Draw order and the
-    /// tie-breaking rule (an earlier draw wins ties) are unchanged from the
-    /// original reference-returning implementation.
-    fn tournament(&mut self, population: &[Individual]) -> usize {
+    /// Tournament selection over the previous generation's fitnesses,
+    /// returning the winner's *index* so breeding can record parent
+    /// identities for the evidence ledger. An earlier draw wins ties.
+    fn tournament(&mut self, fitness: &[f64]) -> usize {
         let mut best: Option<usize> = None;
         for _ in 0..self.config.tournament_size {
-            let candidate = self.rng.gen_range(0..population.len());
+            let candidate = self.rng.gen_range(0..fitness.len());
             best = match best {
-                Some(b) if population[b].fitness <= population[candidate].fitness => Some(b),
+                Some(b) if fitness[b] <= fitness[candidate] => Some(b),
                 _ => Some(candidate),
             };
         }
         best.expect("tournament size is positive")
     }
 
-    /// Breeds and scores the next generation.
+    /// Breeds the next generation from `parents` into `children`, then
+    /// scores it.
     ///
     /// The breeding loop runs sequentially and consumes the RNG stream in
     /// exactly the order the fully-sequential engine did: selection draws
     /// only depend on the *previous* generation's (already known) scores,
-    /// never on a sibling's. The bred children are then scored in one pass
-    /// via [`Self::score_pending`].
+    /// never on a sibling's. Each child is written straight into the
+    /// children's buffer; the bred children are then scored in one pass
+    /// via [`Scorer::score_pending`].
     ///
     /// Fitness-cache rule: a score is carried over only when the child is
     /// a copy of the parent genome — the elite copy, a reproduction
     /// child, or a depth-limit fallback. Any variation operator
-    /// invalidates the cache unconditionally; the structural dedup pass in
-    /// [`Self::score_pending`] then catches variation children that came
-    /// out identical anyway (and identical siblings).
+    /// invalidates the cache unconditionally; the structural dedup pass
+    /// then catches variation children that came out identical anyway
+    /// (and identical siblings).
     fn next_generation(
         &mut self,
-        population: Vec<Individual>,
-        cols: &Columns,
-        scratch: &mut BatchScratch,
-        evaluations: &mut u64,
-        cache_hits: &mut u64,
+        parents: &Generation,
+        children: &mut Generation,
+        scorer: &mut Scorer,
         lineage: bool,
-    ) -> (Vec<Individual>, Vec<BreedRec>) {
-        let n = population.len();
-        let mut planned: Vec<(Genome, Option<(f64, f64)>)> = Vec::with_capacity(n);
+    ) -> Vec<BreedRec> {
+        let n = parents.len();
+        children.clear();
         let mut recs = Vec::new();
 
         // Elitism: the best individual survives unchanged, score and all.
-        let elite_idx = population
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.error.total_cmp(&b.error))
-            .map(|(i, _)| i)
-            .expect("population is non-empty");
-        planned.push((
-            population[elite_idx].genome.clone(),
-            Some((population[elite_idx].error, population[elite_idx].fitness)),
-        ));
+        let elite = parents.best();
+        children.ops.extend_from_slice(parents.genome(elite));
+        children.push((parents.error[elite], parents.fitness[elite]));
         if lineage {
             recs.push(BreedRec {
                 op: "elite",
-                parent: Some(elite_idx as u32),
+                parent: Some(elite as u32),
                 donor: None,
-                parent_error: dpr_evidence::finite(population[elite_idx].error),
+                parent_error: dpr_evidence::finite(parents.error[elite]),
             });
         }
 
@@ -691,126 +774,140 @@ impl SymbolicRegressor {
             self.config.point_mutation_prob,
         );
         let max_depth = self.config.max_depth;
-        let n_vars = cols.n_vars();
-        while planned.len() < n {
+        let n_vars = scorer.cols.n_vars();
+        while children.len() < n {
             let roll: f64 = self.rng.gen();
-            let picked_idx = self.tournament(&population);
-            let picked = &population[picked_idx];
-            let parent_score = (picked.error, picked.fitness);
-            let parent = &picked.genome;
-            let (child, cached, op, donor_idx) = if roll < p_cx {
-                let donor_idx = self.tournament(&population);
-                let donor = &population[donor_idx].genome;
-                (self.crossover(parent, donor), None, "crossover", Some(donor_idx))
+            let picked = self.tournament(&parents.fitness);
+            let parent = parents.genome(picked);
+            let out = &mut children.ops;
+            let start = out.len();
+            let (op, copied, donor) = if roll < p_cx {
+                let donor = self.tournament(&parents.fitness);
+                self.crossover(parent, parents.genome(donor), out);
+                ("crossover", false, Some(donor))
             } else if roll < p_cx + p_sub {
-                (self.subtree_mutation(parent, n_vars), None, "subtree-mutation", None)
+                self.subtree_mutation(parent, n_vars, out);
+                ("subtree-mutation", false, None)
             } else if roll < p_cx + p_sub + p_hoist {
-                (self.hoist_mutation(parent), None, "hoist-mutation", None)
+                self.hoist_mutation(parent, out);
+                ("hoist-mutation", false, None)
             } else if roll < p_cx + p_sub + p_hoist + p_point {
-                (self.point_mutation(parent, n_vars), None, "point-mutation", None)
+                self.point_mutation(parent, n_vars, out);
+                ("point-mutation", false, None)
             } else {
                 // Reproduction: the child IS the parent — reuse its score.
-                (parent.clone(), Some(parent_score), "reproduction", None)
+                out.extend_from_slice(parent);
+                ("reproduction", true, None)
             };
-            let (child, cached, op) = if child.depth() > max_depth {
-                (parent.clone(), Some(parent_score), "depth-fallback")
+            let (op, copied) = if depth(&out[start..]) > max_depth {
+                out.truncate(start);
+                out.extend_from_slice(parent);
+                ("depth-fallback", true)
             } else {
-                (child, cached, op)
+                (op, copied)
             };
-            planned.push((child, cached));
+            if copied {
+                children.push((parents.error[picked], parents.fitness[picked]));
+            } else {
+                scorer.defer(children);
+            }
             if lineage {
                 recs.push(BreedRec {
                     op,
-                    parent: Some(picked_idx as u32),
-                    donor: donor_idx.map(|d| d as u32),
-                    parent_error: dpr_evidence::finite(parent_score.0),
+                    parent: Some(picked as u32),
+                    donor: donor.map(|d| d as u32),
+                    parent_error: dpr_evidence::finite(parents.error[picked]),
                 });
             }
         }
-        let pop = self.score_pending(planned, cols, scratch, evaluations, cache_hits);
-        (pop, recs)
+        scorer.score_pending(children);
+        recs
     }
 
     /// Subtree crossover: replace a random node of `recipient` with a
     /// random subtree of `donor`.
-    fn crossover(&mut self, recipient: &Genome, donor: &Genome) -> Genome {
-        let at = self.rng.gen_range(0..recipient.size());
-        let from = self.rng.gen_range(0..donor.size());
-        recipient.splice(recipient.subtree(at), &donor.ops()[donor.subtree(from)])
+    fn crossover(&mut self, recipient: &[Op], donor: &[Op], out: &mut Vec<Op>) {
+        let at = subtree(recipient, self.rng.gen_range(0..recipient.len()));
+        let from = subtree(donor, self.rng.gen_range(0..donor.len()));
+        out.extend_from_slice(&recipient[..at.start]);
+        out.extend_from_slice(&donor[from]);
+        out.extend_from_slice(&recipient[at.end..]);
     }
 
-    /// Subtree mutation: replace a random node with a fresh grown tree.
-    fn subtree_mutation(&mut self, parent: &Genome, n_vars: usize) -> Genome {
-        let at = self.rng.gen_range(0..parent.size());
-        let fresh = Genome::random_grow(
+    /// Subtree mutation: replace a random node with a fresh grown tree,
+    /// generated in place.
+    fn subtree_mutation(&mut self, parent: &[Op], n_vars: usize, out: &mut Vec<Op>) {
+        let at = subtree(parent, self.rng.gen_range(0..parent.len()));
+        out.extend_from_slice(&parent[..at.start]);
+        random_node(
+            out,
             &mut self.rng,
             3,
+            false,
             n_vars,
             &self.config.functions,
             self.config.const_range,
         );
-        parent.splice(parent.subtree(at), fresh.ops())
+        out.extend_from_slice(&parent[at.end..]);
     }
 
     /// Hoist mutation: replace a random node with one of its own subtrees,
     /// shrinking the individual (bloat control).
-    fn hoist_mutation(&mut self, parent: &Genome) -> Genome {
-        let at = self.rng.gen_range(0..parent.size());
-        let outer = parent.subtree(at);
+    fn hoist_mutation(&mut self, parent: &[Op], out: &mut Vec<Op>) {
+        let at = self.rng.gen_range(0..parent.len());
+        let outer = subtree(parent, at);
         // A node's descendants follow it in preorder.
-        let inner_at = at + self.rng.gen_range(0..outer.len());
-        parent.splice(outer, &parent.ops()[parent.subtree(inner_at)])
+        let inner = subtree(parent, at + self.rng.gen_range(0..outer.len()));
+        out.extend_from_slice(&parent[..outer.start]);
+        out.extend_from_slice(&parent[inner]);
+        out.extend_from_slice(&parent[outer.end..]);
     }
 
     /// Point mutation: independently perturb constants and swap operators
     /// or variables at ~15% of nodes, visited in preorder.
-    fn point_mutation(&mut self, parent: &Genome, n_vars: usize) -> Genome {
-        let mut child = parent.clone();
+    fn point_mutation(&mut self, parent: &[Op], n_vars: usize, out: &mut Vec<Op>) {
+        let start = out.len();
+        out.extend_from_slice(parent);
         let FunctionSet { unary, binary } = &self.config.functions;
-        for node in parent.subtrees() {
-            if !self.rng.gen_bool(0.15) {
-                continue;
+        let rng = &mut self.rng;
+        visit_preorder(&mut out[start..], parent.len() - 1, &mut |_, op| {
+            if !rng.gen_bool(0.15) {
+                return;
             }
-            match &mut child.ops_mut()[node.end - 1] {
+            match op {
                 Op::Const(v) => {
                     // Mix multiplicative and additive perturbations so both
                     // large and near-zero constants can move.
-                    if self.rng.gen_bool(0.5) {
-                        *v *= 1.0 + self.rng.gen_range(-0.2..0.2);
+                    if rng.gen_bool(0.5) {
+                        *v *= 1.0 + rng.gen_range(-0.2..0.2);
                     } else {
-                        *v += self.rng.gen_range(-0.5..0.5);
+                        *v += rng.gen_range(-0.5..0.5);
                     }
                 }
                 Op::Var(i) => {
                     if n_vars > 1 {
-                        *i = self.rng.gen_range(0..n_vars) as u32;
+                        *i = rng.gen_range(0..n_vars) as u32;
                     }
                 }
                 Op::Unary(op) => {
-                    if let Some(new_op) = unary.choose(&mut self.rng) {
+                    if let Some(new_op) = unary.choose(rng) {
                         *op = *new_op;
                     }
                 }
                 Op::Binary(op) => {
-                    if let Some(new_op) = binary.choose(&mut self.rng) {
+                    if let Some(new_op) = binary.choose(rng) {
                         *op = *new_op;
                     }
                 }
                 _ => unreachable!("a genome holds plain ops only"),
             }
-        }
-        child
+        });
     }
 
-    /// Hill-climb the winner's constants: propose a perturbation of one
-    /// constant at a time and keep it if the (scaled-space) error improves.
-    fn polish(
-        &mut self,
-        best: &mut Individual,
-        cols: &Columns,
-        scratch: &mut BatchScratch,
-        evaluations: &mut u64,
-    ) {
+    /// Hill-climb the winner's constants: perturb one constant at a time
+    /// in place, keep the change if the (scaled-space) error improves and
+    /// undo it otherwise.
+    fn polish(&mut self, best: &mut Individual, scorer: &mut Scorer) {
         if self.config.polish_iters == 0 {
             return;
         }
@@ -826,20 +923,22 @@ impl SymbolicRegressor {
             // Annealed step size: start coarse, end fine.
             let t = iter as f64 / self.config.polish_iters as f64;
             let sigma = 0.25 * (1.0 - t) + 0.002;
-            let mut candidate = best.genome.clone();
             let which = consts[self.rng.gen_range(0..consts.len())];
-            if let Op::Const(c) = &mut candidate.ops_mut()[which] {
+            let slot = &mut best.genome.ops_mut()[which];
+            let kept = *slot;
+            if let Op::Const(c) = slot {
                 if self.rng.gen_bool(0.5) {
                     *c *= 1.0 + self.rng.gen_range(-sigma..sigma);
                 } else {
                     *c += self.rng.gen_range(-sigma..sigma);
                 }
             }
-            let (error, fitness) = self.evaluate(&candidate, cols, scratch, evaluations);
+            let (error, fitness) = scorer.evaluate(best.genome.ops());
             if error < best.error {
-                best.genome = candidate;
                 best.error = error;
                 best.fitness = fitness;
+            } else {
+                best.genome.ops_mut()[which] = kept;
             }
         }
     }

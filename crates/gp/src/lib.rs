@@ -20,7 +20,8 @@
 //! * a constant-polishing hill climb that refines numeric leaves of the
 //!   winning expression (the GP analogue of gplearn's final tuning).
 //!
-//! Every individual is a [`Genome`]: a flat postfix program, bred with
+//! Every individual is a flat postfix program (a [`Genome`] on its own,
+//! a slice of one flat generation buffer while it breeds), bred with
 //! slice splices the way gplearn breeds its flat program lists. Fitness
 //! scoring — the dominant cost at the paper's 1000 × 30 budget — compiles
 //! each structurally distinct genome ([`dedup`]) to a fused

@@ -1,6 +1,10 @@
 //! Property-based tests for the GP engine's invariants.
 
-use dpr_gp::compile::{BatchScratch, Columns, Genome, Op};
+use std::collections::HashMap;
+use std::ops::Range;
+
+use dpr_gp::compile::{BatchScratch, Columns, CompiledExpr, Genome, Op};
+use dpr_gp::dedup::{self, Dedup, DedupGroups};
 use dpr_gp::expr::{BinaryOp, Expr};
 use dpr_gp::scaling::{table2_factor, ScalePlan};
 use dpr_gp::{Dataset, FunctionSet, GpConfig, Metric, SymbolicRegressor};
@@ -33,6 +37,120 @@ fn preorder_node(e: &Expr, k: usize) -> &Expr {
     }
     let mut k = k;
     walk(e, &mut k).expect("index within tree size")
+}
+
+/// The table oracle for node numbering: every node's subtree as a
+/// postfix range, indexed by the node's preorder number. One forward
+/// pass finds where the subtree ending at each position starts; a
+/// root/left/right walk then lists the nodes.
+fn subtrees(g: &Genome) -> Vec<Range<usize>> {
+    let ops = g.ops();
+    let mut open = Vec::new();
+    let starts: Vec<usize> = ops
+        .iter()
+        .enumerate()
+        .map(|(end, op)| {
+            match op {
+                Op::Unary(_) => {}
+                Op::Binary(_) => {
+                    open.pop();
+                }
+                _ => open.push(end),
+            }
+            *open.last().expect("well-formed postfix")
+        })
+        .collect();
+    let mut out = Vec::with_capacity(ops.len());
+    let mut todo = vec![ops.len() - 1];
+    while let Some(end) = todo.pop() {
+        out.push(starts[end]..end + 1);
+        match ops[end] {
+            Op::Unary(_) => todo.push(end - 1),
+            Op::Binary(_) => todo.extend([end - 1, starts[end - 1] - 1]),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The grouping oracle: FNV-1a over a byte encoding of each op, with
+/// one `Vec` of classes per hash bucket and an exact comparison inside
+/// each bucket.
+fn oracle_group(genomes: &[&Genome]) -> DedupGroups {
+    fn eat(h: &mut u64, bytes: &[u8]) {
+        for &byte in bytes {
+            *h ^= u64::from(byte);
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn fnv(ops: &[Op]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for op in ops {
+            match *op {
+                Op::Const(c) => eat(&mut h, &[&[0u8][..], &c.to_bits().to_le_bytes()].concat()),
+                Op::Var(i) => eat(&mut h, &[&[1u8][..], &i.to_le_bytes()].concat()),
+                Op::Unary(u) => eat(&mut h, &[2, u as u8]),
+                Op::Binary(b) => eat(&mut h, &[3, b as u8]),
+                _ => unreachable!("a genome holds plain ops only"),
+            }
+        }
+        h
+    }
+    let mut reps: Vec<usize> = Vec::new();
+    let mut assign = Vec::with_capacity(genomes.len());
+    let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+    for (i, genome) in genomes.iter().enumerate() {
+        let bucket = buckets.entry(fnv(genome.ops())).or_default();
+        let found = bucket
+            .iter()
+            .copied()
+            .find(|&g| bit_equal(genomes[reps[g as usize]], genome));
+        let class = found.unwrap_or_else(|| {
+            let g = reps.len() as u32;
+            reps.push(i);
+            bucket.push(g);
+            g
+        });
+        assign.push(class);
+    }
+    DedupGroups { reps, assign }
+}
+
+/// Same ops, constants compared by bit pattern.
+fn bit_equal(a: &Genome, b: &Genome) -> bool {
+    a.size() == b.size()
+        && a.ops().iter().zip(b.ops()).all(|(x, y)| match (*x, *y) {
+            (Op::Const(x), Op::Const(y)) => x.to_bits() == y.to_bits(),
+            (x, y) => x == y,
+        })
+}
+
+/// The library's grouping, with `hash` standing in for the structural
+/// hash the engine takes as it writes each child.
+fn library_group(genomes: &[&Genome], hash: impl Fn(&Genome) -> u64) -> DedupGroups {
+    let hashes: Vec<u64> = genomes.iter().map(|g| hash(g)).collect();
+    Dedup::new().group(&hashes, |i| genomes[i].ops()).clone()
+}
+
+/// A population drawn (with repeats, so clones are planted) from random
+/// genomes and from `X0 + c` for the constants grouping must keep apart
+/// or together by bit pattern: two NaN payloads, `0.0` and `-0.0`.
+fn planted_population(seed: u64, picks: &[usize]) -> Vec<Genome> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pool: Vec<Genome> = (0..8)
+        .map(|_| Genome::random_grow(&mut rng, 4, 2, &FunctionSet::full(), (-10.0, 10.0)))
+        .collect();
+    for c in [f64::NAN, f64::from_bits(0x7ff8_0000_0000_0001), 0.0, -0.0] {
+        pool.push(Genome::from_expr(&Expr::Binary(
+            BinaryOp::Add,
+            Box::new(Expr::Var(0)),
+            Box::new(Expr::Const(c)),
+        )));
+    }
+    picks
+        .iter()
+        .map(|&i| pool[i % pool.len()].clone())
+        .collect()
 }
 
 /// The tree oracle for leaf order: constant leaves, left to right.
@@ -139,7 +257,7 @@ proptest! {
     fn subtrees_are_the_flattened_preorder_nodes(seed in any::<u64>(), depth in 1usize..=7) {
         let g = arb_genome(seed, depth);
         let e = g.to_expr();
-        let subtrees = g.subtrees();
+        let subtrees = subtrees(&g);
         prop_assert_eq!(subtrees.len(), e.size());
         for (k, range) in subtrees.iter().enumerate() {
             let node = preorder_node(&e, k);
@@ -156,9 +274,26 @@ proptest! {
     #[test]
     fn subtree_lookup_matches_the_preorder_table(seed in any::<u64>(), depth in 1usize..=7) {
         let g = arb_genome(seed, depth);
-        for (k, range) in g.subtrees().into_iter().enumerate() {
+        for (k, range) in subtrees(&g).into_iter().enumerate() {
             prop_assert_eq!(g.subtree(k), range, "node {}", k);
         }
+    }
+
+    /// The allocation-free preorder walk point mutation uses visits every
+    /// node's op in the preorder table's order, and leaves the genome
+    /// intact when the visitor changes nothing.
+    #[test]
+    fn preorder_walk_follows_the_preorder_table(seed in any::<u64>(), depth in 1usize..=7) {
+        let g = arb_genome(seed, depth);
+        let want: Vec<usize> = subtrees(&g).iter().map(|range| range.end - 1).collect();
+        let mut walked = g.clone();
+        let mut got = Vec::new();
+        walked.visit_preorder(|at, op| {
+            assert_eq!(*op, g.ops()[at]);
+            got.push(at);
+        });
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(walked, g);
     }
 
     /// `Const` ops appear in the tree's left-to-right leaf order, so the
@@ -263,6 +398,11 @@ proptest! {
         let fused = g.compile();
         let unfused = g.compile_unfused();
         prop_assert!(fused.ops().len() <= unfused.ops().len(), "fusion must not grow programs");
+        // Recompiling into a buffer that held another program leaves
+        // nothing of it behind.
+        let mut reused = arb_genome(seed ^ 1, 7).compile();
+        g.compile_into(&mut reused);
+        prop_assert_eq!(&reused, &fused);
         let mut scratch = BatchScratch::new();
         for metric in [Metric::MeanAbsoluteError, Metric::MeanSquaredError, Metric::Rmse] {
             let a = unfused.error_on(&cols, metric, &mut scratch);
@@ -290,7 +430,7 @@ proptest! {
             .collect();
         // Population with duplicates: every genome appears twice.
         let genomes: Vec<&Genome> = base.iter().chain(&base).collect();
-        let groups = dpr_gp::dedup::group(&genomes);
+        let groups = library_group(&genomes, |g| dedup::hash(g.ops()));
         prop_assert!(groups.reps.len() <= base.len());
         prop_assert_eq!(groups.hits(), (genomes.len() - groups.reps.len()) as u64);
         prop_assert!(groups.hits() >= base.len() as u64, "each clone must hit its twin's class");
@@ -302,15 +442,53 @@ proptest! {
         let cols = Columns::from_dataset(&data);
         let mut scratch = BatchScratch::new();
         let metric = Metric::MeanAbsoluteError;
+        let mut program = CompiledExpr::default();
         for (i, genome) in genomes.iter().enumerate() {
             let rep = genomes[groups.reps[groups.assign[i] as usize]];
             let own = genome.compile().error_on(&cols, metric, &mut scratch);
-            let reused = rep.compile().error_on(&cols, metric, &mut scratch);
+            rep.compile_into(&mut program);
+            let reused = program.error_on(&cols, metric, &mut scratch);
             prop_assert!(
                 own.to_bits() == reused.to_bits(),
                 "program {i}: own score {own:?} vs representative's {reused:?}"
             );
         }
+    }
+
+    /// The open-addressed grouping returns exactly the classes,
+    /// representatives and assignments of the hash-map oracle, on
+    /// populations with planted clones and NaN / ±0.0 constants.
+    #[test]
+    fn dedup_grouping_matches_the_hashmap_oracle(
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(0usize..12, 1..80),
+    ) {
+        let population = planted_population(seed, &picks);
+        let genomes: Vec<&Genome> = population.iter().collect();
+        let groups = library_group(&genomes, |g| dedup::hash(g.ops()));
+        prop_assert_eq!(groups, oracle_group(&genomes));
+    }
+
+    /// When every genome hashes alike, exact comparison alone decides
+    /// classes: unequal genomes never merge and the groups still match
+    /// the oracle.
+    #[test]
+    fn forced_hash_collisions_never_merge_unequal_genomes(
+        seed in any::<u64>(),
+        picks in proptest::collection::vec(0usize..12, 1..80),
+    ) {
+        let population = planted_population(seed, &picks);
+        let genomes: Vec<&Genome> = population.iter().collect();
+        let groups = library_group(&genomes, |_| 0);
+        for (i, &class) in groups.assign.iter().enumerate() {
+            prop_assert!(bit_equal(genomes[groups.reps[class as usize]], genomes[i]));
+        }
+        for (a, &ra) in groups.reps.iter().enumerate() {
+            for &rb in &groups.reps[a + 1..] {
+                prop_assert!(!bit_equal(genomes[ra], genomes[rb]));
+            }
+        }
+        prop_assert_eq!(groups, oracle_group(&genomes));
     }
 
     /// Fitness metrics are non-negative and zero exactly on perfect fits.
